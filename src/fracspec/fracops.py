@@ -114,6 +114,35 @@ def frac_derivative(g: GridFunction, order: float) -> GridFunction:
     return GridFunction(deriv)
 
 
+def _window_ranges(
+    v: np.ndarray, widths: list[int], num_starts: int | None = None
+) -> np.ndarray:
+    """Largest max - min of v over windows of each width (in points, >= 1).
+
+    Windows start at 0 .. num_starts - 1, by default at every start that fits.
+    A sparse table of running max/min over spans 1, 2, 4, ... covers each
+    window with two overlapping power-of-two spans (van Herk / Gil-Werman
+    windowed extrema), so the cost is O(N log K) instead of O(N K) for a scan
+    over pair offsets. max, min and one subtraction are exact in floating
+    point, so the result equals the largest |v[i] - v[j]| over pairs in a window.
+    """
+    hi, lo = [v], [v]
+    span = 1
+    while 2 * span <= max(widths):
+        hi.append(np.maximum(hi[-1][:-span], hi[-1][span:]))
+        lo.append(np.minimum(lo[-1][:-span], lo[-1][span:]))
+        span *= 2
+    out = np.empty(len(widths))
+    for idx, w in enumerate(widths):
+        level = w.bit_length() - 1
+        count = v.size - w + 1 if num_starts is None else num_starts
+        shift = w - (1 << level)
+        top = np.maximum(hi[level][:count], hi[level][shift : shift + count])
+        bottom = np.minimum(lo[level][:count], lo[level][shift : shift + count])
+        out[idx] = np.max(top - bottom)
+    return out
+
+
 def modulus_of_continuity(g: GridFunction, h: float) -> float:
     """Largest |g(lam) - g(mu)| over grid pairs with |lam - mu| <= h.
 
@@ -126,32 +155,26 @@ def modulus_of_continuity(g: GridFunction, h: float) -> float:
         raise DomainError(f"modulus window h={h!r} exceeds 2*pi")
     v = g.values
     kmax = int(np.floor(h / spacing + 1e-9))
-    best = 0.0
     if g.periodic:
+        # wrap the circle so every arc of k steps is one window
         circle = v[:-1]
         m = circle.size
-        for k in range(1, min(kmax, m // 2) + 1):
-            best = max(best, float(np.max(np.abs(circle - np.roll(circle, k)))))
-    else:
-        for k in range(1, min(kmax, v.size - 1) + 1):
-            best = max(best, float(np.max(np.abs(v[k:] - v[:-k]))))
-    return best
+        k = min(kmax, m // 2)
+        wrapped = np.concatenate((circle, circle[:k]))
+        return float(_window_ranges(wrapped, [k + 1], num_starts=m)[0])
+    k = min(kmax, v.size - 1)
+    return float(_window_ranges(v, [k + 1])[0])
 
 
 def modulus_profile(g: GridFunction, h_grid: np.ndarray) -> np.ndarray:
-    """modulus_of_continuity at several windows in one pass over pair offsets."""
+    """modulus_of_continuity (non-periodic) at several windows from one sparse table."""
     h_grid = np.asarray(h_grid, dtype=float)
     spacing = g.spacing
     if np.any(h_grid < spacing - 1e-12):
         raise DomainError("modulus window below grid spacing")
     v = g.values
-    kmax = min(int(np.floor(h_grid.max() / spacing + 1e-9)), v.size - 1)
     ks = np.minimum(np.floor(h_grid / spacing + 1e-9).astype(int), v.size - 1)
-    running = np.zeros(kmax + 1)
-    for k in range(1, kmax + 1):
-        step = float(np.max(np.abs(v[k:] - v[:-k])))
-        running[k] = max(running[k - 1], step)
-    return running[ks]
+    return _window_ranges(v, (ks.ravel() + 1).tolist()).reshape(ks.shape)
 
 
 def holder_norm(g: GridFunction, delta: float) -> tuple[float, float]:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -20,7 +19,7 @@ from . import fracops, specmodel
 from .errors import DomainError
 from .estimate import FracEstimate, default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, GridFunction
-from .gsim import sample_limit_process, sample_path
+from .gsim import sample_path
 from .specmodel import SpectralModel, limit_covariance, theta_diagonal
 
 #: stream-index offsets keeping replication phases disjoint
@@ -88,20 +87,6 @@ class McConfig:
         object.__setattr__(self, "holder_delta", float(delta))
         object.__setattr__(self, "seed", int(self.seed))
 
-    def summary(self) -> dict:
-        return {
-            "model": self.model.model_id,
-            "alpha": self.alpha,
-            "n_list": list(self.n_list),
-            "replications": self.replications,
-            "probe_lambdas": list(self.probe_lambdas),
-            "seed": self.seed,
-            "tail_u_grid": list(self.tail_u_grid),
-            "holder_delta": self.holder_delta,
-            "delta_confidence": self.delta_confidence,
-            "grid_points": self.grid_points,
-        }
-
 
 @dataclass
 class McReport:
@@ -119,7 +104,6 @@ class McReport:
     holder_rows: list = field(default_factory=list)  # (n, h, q95_ratio)
     fejer_rows: list = field(default_factory=list)  # (n, sup_err, bound)
     confidence_rows: list = field(default_factory=list)  # (n, delta, u0, coverage)
-    runtime_s: float = 0.0
 
     def to_json_text(self) -> str:
         payload = {
@@ -272,8 +256,11 @@ def run_monte_carlo(
     band_num_probes: int = 64,
     calibration_draws: int = 2000,
 ) -> McReport:
-    """Run the full replication plan and aggregate every diagnostic."""
-    start = time.time()
+    """Run the full replication plan and aggregate every diagnostic.
+
+    Replications are cut into blocks of at most 64 whatever the worker count,
+    and blocks merge in order, so every thread count gives the same bytes.
+    """
     model = config.model
     alpha = config.alpha
     rep = config.replications
@@ -299,7 +286,7 @@ def run_monte_carlo(
         stream_base = (n_idx + 1) * _STREAM_MC
         block_args = []
         workers = max(1, int(threads))
-        block_size = max(1, math.ceil(rep / max(workers, math.ceil(rep / 64))))
+        block_size = math.ceil(rep / math.ceil(rep / 64))
         for r0 in range(0, rep, block_size):
             block_args.append(
                 (
@@ -349,7 +336,6 @@ def run_monte_carlo(
         coverage = float(np.mean(agg["band_sup_deviation"] <= u0))
         report.confidence_rows.append((n, config.delta_confidence, u0, coverage))
 
-    report.runtime_s = time.time() - start
     return report
 
 

@@ -163,6 +163,15 @@ class TestMcVerb:
         assert head[0] == f"# fracspec {__version__}"
         assert any(line.startswith("# seed = 2") for line in head)
 
+    def test_outputs_identical_across_threads(self, mc_ini, tmp_path):
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        assert _run("mc", "--config", str(mc_ini), "--out", str(out1), "--threads", "1") == 0
+        assert _run("mc", "--config", str(mc_ini), "--out", str(out2), "--threads", "2") == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_threads_env_fallback(self, mc_ini, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACSPEC_THREADS", "not-an-int")
         rc = _run("mc", "--config", str(mc_ini), "--out", str(tmp_path / "m"))

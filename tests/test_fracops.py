@@ -13,6 +13,21 @@ def _power_fn(mu: float, num_points: int) -> GridFunction:
     return GridFunction.from_callable(lambda t: t**mu, num_points)
 
 
+def _brute_modulus(g: GridFunction, h: float) -> float:
+    """Oracle: scan every pair offset k <= h / spacing (on the circle if periodic)."""
+    v = g.values
+    kmax = int(np.floor(h / g.spacing + 1e-9))
+    best = 0.0
+    if g.periodic:
+        circle = v[:-1]
+        for k in range(1, min(kmax, circle.size // 2) + 1):
+            best = max(best, float(np.max(np.abs(circle - np.roll(circle, k)))))
+    else:
+        for k in range(1, min(kmax, v.size - 1) + 1):
+            best = max(best, float(np.max(np.abs(v[k:] - v[:-k]))))
+    return best
+
+
 class TestGammaFn:
     def test_matches_math_gamma(self):
         for x in (0.5, 1.0, 1.5, 2.0, 3.7):
@@ -118,7 +133,30 @@ class TestModulus:
         hs = np.array([0.1, 0.3, 0.7])
         prof = fracops.modulus_profile(g, hs)
         for h, v in zip(hs, prof):
-            assert v == pytest.approx(fracops.modulus_of_continuity(g, h), abs=1e-12)
+            assert v == fracops.modulus_of_continuity(g, h)
+
+    @given(
+        size=st.integers(2, 700),
+        log_scale=st.floats(-3.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pair_offset_oracle(self, size, log_scale, seed, fractions):
+        # random walk; windows from one grid spacing up to 2*pi
+        rng = np.random.default_rng(seed)
+        v = np.cumsum(rng.standard_normal(size)) * 10.0**log_scale
+        g = GridFunction(v)
+        hs = np.minimum([g.spacing + f * (TWO_PI - g.spacing) for f in fractions], TWO_PI)
+        expected = np.array([_brute_modulus(g, h) for h in hs])
+        assert np.array_equal(fracops.modulus_profile(g, hs), expected)
+        scalar = np.array([fracops.modulus_of_continuity(g, h) for h in hs])
+        assert np.array_equal(scalar, expected)
+        closed = v.copy()
+        closed[-1] = closed[0]
+        ring = GridFunction(closed, periodic=True)
+        periodic = np.array([fracops.modulus_of_continuity(ring, h) for h in hs])
+        assert np.array_equal(periodic, [_brute_modulus(ring, h) for h in hs])
 
     def test_rejects_h_below_spacing(self):
         g = GridFunction(np.ones(65))
