@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from fracspec import TWO_PI, estimate, gsim, verify
+from fracspec import TWO_PI, estimate, verify
 from fracspec.specmodel import SpectralModel
 
 
@@ -27,11 +27,8 @@ def main() -> None:
     pts = estimate.default_grid_points(args.n)
     mean_fn = verify.expected_estimate(model, args.n, args.alpha, pts)
     scale = math.sqrt(args.n)
-    sups = np.empty(args.reps)
-    for r in range(args.reps):
-        j = estimate.periodogram(gsim.sample_path(model, args.n, args.seed, stream=r), pts)
-        fa = estimate.frac_estimate(j, args.alpha)
-        sups[r] = scale * np.max(np.abs(fa.grid_fn.values - mean_fn.values))
+    runs = verify.replicate(model, args.n, args.alpha, pts, args.seed, range(args.reps))
+    sups = np.array([scale * np.max(np.abs(values - mean_fn.values)) for values in runs])
 
     censor = 2.0 / args.reps
     u_grid = np.arange(0.25, sups.max() + 0.25, 0.25)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from fracspec import TWO_PI, estimate, gsim, specmodel
+from fracspec import TWO_PI, estimate, specmodel, verify
 from fracspec.specmodel import SpectralModel
 
 
@@ -33,11 +33,8 @@ def main() -> None:
     for n in args.n:
         pts = estimate.default_grid_points(n)
         lam_grid = np.linspace(0.0, TWO_PI, pts)
-        vals = np.empty((args.reps, len(probes)))
-        for r in range(args.reps):
-            j = estimate.periodogram(gsim.sample_path(model, n, args.seed, stream=r), pts)
-            fa = estimate.frac_estimate(j, args.alpha)
-            vals[r] = np.interp(probes, lam_grid, fa.grid_fn.values)
+        runs = verify.replicate(model, n, args.alpha, pts, args.seed, range(args.reps))
+        vals = np.array([np.interp(probes, lam_grid, values) for values in runs])
         emp = n * np.cov(vals.T)
         for i, j_ in pairs:
             even = specmodel.theta_point(model, args.alpha, probes[i], probes[j_])

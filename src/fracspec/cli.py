@@ -290,7 +290,7 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> None:
         model, alpha, n, delta, draws, seed, replications=reps, num_probes=num_probes
     )
     header = _header(sections, seed, {"n": n, "num_probes": num_probes})
-    table = "n,delta,u0,coverage\n" + f"{n},{delta:.17g},{u0:.17g},{coverage:.17g}\n"
+    table = verify.csv_table("n,delta,u0,coverage", [(n, delta, u0, coverage)])
     _write_atomic(args.out / "confidence.csv", _prefix(header) + table, args.force)
 
 
@@ -301,13 +301,9 @@ def _cmd_fejer(args, sections: dict, config_dir: Path) -> None:
     if not n_list:
         raise ConfigError("fejer n_list must contain at least one n")
     header = _header(sections, None, {"n_list": " ".join(map(str, n_list))})
-    rows = ["n,sup_err,bound"]
-    for n in n_list:
-        sup_err, bound = verify._fejer_bias(model, n)
-        rows.append(f"{n},{sup_err:.17g},{bound:.17g}")
-    _write_atomic(
-        args.out / "fejer.csv", _prefix(header) + "\n".join(rows) + "\n", args.force
-    )
+    rows = [(n, *verify._fejer_bias(model, n)) for n in n_list]
+    table = verify.csv_table("n,sup_err,bound", rows)
+    _write_atomic(args.out / "fejer.csv", _prefix(header) + table, args.force)
 
 
 _DISPATCH = {

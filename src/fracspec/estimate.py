@@ -45,7 +45,8 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> Periodogram:
 
     The trigonometric sum is a polynomial in exp(i lam); on the uniform grid
     it is computed by an FFT with index folding, which is exact at each
-    requested lam (no interpolation).
+    requested lam (no interpolation). The mean the path was simulated with
+    (`added_mean`) is subtracted first.
     """
     if num_points is None:
         num_points = default_grid_points(path.n)
@@ -54,7 +55,7 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> Periodogram:
     n = path.n
     m = num_points - 1
     folded = np.zeros(m, dtype=float)
-    np.add.at(folded, np.arange(1, n + 1) % m, path.values)
+    np.add.at(folded, np.arange(1, n + 1) % m, path.values - path.added_mean)
     transform = m * np.fft.ifft(folded)
     vals = np.abs(transform) ** 2 / (TWO_PI * n)
     vals = np.concatenate((vals, vals[:1]))

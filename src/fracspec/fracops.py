@@ -23,13 +23,6 @@ _SERIES_CUTOFF = 16
 _SERIES_TERMS = 9
 
 
-def gamma_fn(x: float) -> float:
-    """Euler Gamma for positive arguments."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
-        raise DomainError(f"gamma_fn requires a finite x > 0, got {x!r}")
-    return math.gamma(x)
-
-
 def _binom(gamma: float, m: int) -> float:
     # generalized binomial coefficient C(gamma, m)
     out = 1.0
@@ -176,21 +169,3 @@ def modulus_profile(g: GridFunction, h_grid: np.ndarray) -> np.ndarray:
     ks = np.minimum(np.floor(h_grid / spacing + 1e-9).astype(int), v.size - 1)
     return _window_ranges(v, (ks.ravel() + 1).tolist()).reshape(ks.shape)
 
-
-def holder_norm(g: GridFunction, delta: float) -> tuple[float, float]:
-    """Sup norm plus the delta-Holder seminorm over all grid pairs.
-
-    Also returns the small-window ratio omega(g, h_min) / h_min^delta at the
-    smallest resolvable window, which estimates the vanishing-modulus limit.
-    """
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"holder_norm delta must be in (0, 1), got {delta!r}")
-    v = g.values
-    spacing = g.spacing
-    sup = float(np.max(np.abs(v)))
-    semi = 0.0
-    for k in range(1, v.size):
-        diff = float(np.max(np.abs(v[k:] - v[:-k])))
-        semi = max(semi, diff / (k * spacing) ** delta)
-    vanishing = float(np.max(np.abs(v[1:] - v[:-1]))) / spacing**delta
-    return sup + semi, vanishing

@@ -24,8 +24,6 @@ class GridFunction:
 
     values: np.ndarray
     periodic: bool = False
-    grid_start: float = 0.0
-    grid_end: float = TWO_PI
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -33,8 +31,6 @@ class GridFunction:
             raise DomainError(f"grid needs at least 2 points, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid values must be finite")
-        if self.grid_start != 0.0 or abs(self.grid_end - TWO_PI) > 1e-12:
-            raise DomainError("grid must span [0, 2*pi]")
         if self.periodic and abs(vals[0] - vals[-1]) > PERIODIC_TOL:
             raise DomainError(
                 f"periodic grid endpoints differ: {vals[0]!r} vs {vals[-1]!r}"

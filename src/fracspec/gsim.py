@@ -10,7 +10,7 @@ reproducible independently of scheduling.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -132,9 +132,3 @@ def sample_limit_process(cov: LimitCovariance, seed: int, stream: int = 0) -> np
     """One draw of the limit Gaussian process restricted to the probe grid."""
     rng = make_rng(seed, stream)
     return cov.factor @ rng.standard_normal(cov.factor.shape[1])
-
-
-def center_sample(path: SamplePath) -> SamplePath:
-    """Subtract the sample mean; idempotent."""
-    centered = path.values - path.values.mean()
-    return replace(path, values=centered, centered=True)

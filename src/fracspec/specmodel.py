@@ -102,15 +102,6 @@ class SpectralModel:
         lam = np.linspace(0.0, TWO_PI, num_points)
         return GridFunction(self.density(lam), periodic=True)
 
-    # --- configuration block round-trip ---
-
-    def to_config_text(self) -> str:
-        if self.kind == "constant":
-            return f"kind = constant\nc = {self.c:.17g}\n"
-        if self.kind == "ar1":
-            return f"kind = ar1\nrho = {self.rho:.17g}\n"
-        return "kind = custom_grid\ngrid_csv_path = density.csv\n"
-
     @classmethod
     def from_mapping(cls, mapping: dict, base_dir: Path | None = None) -> "SpectralModel":
         known = {"kind", "c", "rho", "grid_csv_path"}
@@ -138,18 +129,8 @@ class SpectralModel:
         raise DomainError(f"unknown model kind {kind!r}")
 
 
-def autocovariance(model: SpectralModel, m: int) -> float:
-    """r(m) = integral of cos(m lam) f(lam) over one period."""
-    m = abs(int(m))
-    if model.kind == "constant":
-        return TWO_PI * model.c if m == 0 else 0.0
-    if model.kind == "ar1":
-        return model.rho**m
-    return float(_autocov_batch_custom(model, m)[m])
-
-
 def autocovariance_batch(model: SpectralModel, mmax: int) -> np.ndarray:
-    """r(0..mmax) as one array."""
+    """r(0..mmax) as one array, r(m) = integral of cos(m lam) f(lam) over one period."""
     if model.kind == "constant":
         out = np.zeros(mmax + 1)
         out[0] = TWO_PI * model.c
@@ -316,9 +297,6 @@ class LimitCovariance:
         for row in self.matrix:
             buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
         return buf.getvalue()
-
-    def to_csv(self, path: str | Path, comments: Sequence[str] = ()) -> None:
-        Path(path).write_text(self.to_csv_text(comments), encoding="utf-8")
 
 
 def _kernel_direct(model: SpectralModel, alpha: float, lam: float, mu: float) -> float:

@@ -9,15 +9,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import stats
 
 from . import fracops, specmodel
 from .errors import DomainError
-from .estimate import FracEstimate, default_grid_points, frac_estimate, periodogram
+from .estimate import default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, GridFunction
 from .gsim import sample_path
 from .specmodel import SpectralModel, limit_covariance, theta_diagonal
@@ -123,24 +122,28 @@ class McReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def csv_tables(self) -> dict[str, str]:
-        def fmt(x) -> str:
-            return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-        def table(header: str, rows) -> str:
-            return "\n".join([header] + [",".join(fmt(x) for x in row) for row in rows]) + "\n"
-
         tails = [
             (n, u, w0, "censored" if censored else w)
             for (n, u, w0, w, censored) in self.tail_rows
         ]
         return {
-            "bias.csv": table("n,lambda,bias", self.bias_rows),
-            "cov.csv": table("n,lambda,mu,emp,theory,rel_err", self.cov_rows),
-            "normality.csv": table("n,lambda,ks,p", self.normality_rows),
-            "tails.csv": table("n,u,w0,w", tails),
-            "holder.csv": table("n,h,q95_ratio", self.holder_rows),
-            "confidence.csv": table("n,delta,u0,coverage", self.confidence_rows),
+            "bias.csv": csv_table("n,lambda,bias", self.bias_rows),
+            "cov.csv": csv_table("n,lambda,mu,emp,theory,rel_err", self.cov_rows),
+            "normality.csv": csv_table("n,lambda,ks,p", self.normality_rows),
+            "tails.csv": csv_table("n,u,w0,w", tails),
+            "holder.csv": csv_table("n,h,q95_ratio", self.holder_rows),
+            "confidence.csv": csv_table("n,delta,u0,coverage", self.confidence_rows),
         }
+
+
+def csv_table(header: str, rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line per row; floats (numpy's
+    included) print with 17 significant digits, everything else with str."""
+
+    def fmt(x) -> str:
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+    return "\n".join([header] + [",".join(fmt(x) for x in row) for row in rows]) + "\n"
 
 
 @lru_cache(maxsize=64)
@@ -160,18 +163,15 @@ def _truth_on_grid(model: SpectralModel, alpha: float, num_points: int) -> GridF
     return specmodel.frac_truth_profile(model, alpha, num_points)
 
 
-def centered_process(estimate: FracEstimate, model: SpectralModel) -> GridFunction:
-    """sqrt(n) * (estimate - exact mean of the estimator) on the shared grid."""
-    mean_fn = expected_estimate(model, estimate.n, estimate.alpha, estimate.grid_fn.num_points)
-    scale = math.sqrt(estimate.n)
-    return GridFunction(scale * (estimate.grid_fn.values - mean_fn.values))
-
-
-def deviation_process(estimate: FracEstimate, model: SpectralModel) -> GridFunction:
-    """sqrt(n) * (estimate - ground-truth fractional spectral derivative)."""
-    truth = _truth_on_grid(model, estimate.alpha, estimate.grid_fn.num_points)
-    scale = math.sqrt(estimate.n)
-    return GridFunction(scale * (estimate.grid_fn.values - truth.values))
+def replicate(
+    model: SpectralModel, n: int, alpha: float, num_points: int, seed: int, streams: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """The replication kernel: for each stream in the order given, draw the
+    path keyed by (seed, stream) and yield the grid values of its fractional
+    estimate (path -> periodogram -> fractional integral of order 1 - alpha)."""
+    for stream in streams:
+        path = sample_path(model, n, seed, stream=stream)
+        yield frac_estimate(periodogram(path, num_points), alpha).grid_fn.values
 
 
 def _band_probes(num_probes: int) -> np.ndarray:
@@ -185,14 +185,25 @@ def _cached_band_cov(
     return limit_covariance(model, alpha, _band_probes(num_probes), real_symmetry=real_symmetry)
 
 
+def _band_half_width(
+    model: SpectralModel, alpha: float, num_probes: int, real_symmetry: bool,
+    seed: int, draws: int, delta: float,
+) -> float:
+    """u0: the (1 - delta) quantile of the sup over the band probes of |limit
+    process|, from `draws` simulated limit-process vectors."""
+    cov = _cached_band_cov(model, alpha, num_probes, real_symmetry)
+    rng = np.random.Generator(np.random.Philox(key=seed + _STREAM_CALIBRATION))
+    sims = cov.factor @ rng.standard_normal((num_probes, draws))
+    return float(np.quantile(np.max(np.abs(sims), axis=0), 1.0 - delta))
+
+
 def _run_block(
     model: SpectralModel,
     n: int,
     alpha: float,
     num_points: int,
     seed: int,
-    stream_base: int,
-    rep_range: tuple[int, int],
+    streams: range,
     probes: tuple[float, ...],
     band_probes: np.ndarray,
     h_grid: tuple[float, ...],
@@ -200,8 +211,7 @@ def _run_block(
     truth_values: np.ndarray,
 ) -> dict:
     lam = np.linspace(0.0, TWO_PI, num_points)
-    r0, r1 = rep_range
-    count = r1 - r0
+    count = len(streams)
     out = {
         "sum_estimate": np.zeros(num_points),
         "probe_centered": np.empty((count, len(probes))),
@@ -211,10 +221,7 @@ def _run_block(
         "holder_moduli": np.empty((count, len(h_grid))),
     }
     scale = math.sqrt(n)
-    for i, r in enumerate(range(r0, r1)):
-        path = sample_path(model, n, seed, stream=stream_base + r)
-        est = frac_estimate(periodogram(path, num_points), alpha)
-        values = est.grid_fn.values
+    for i, values in enumerate(replicate(model, n, alpha, num_points, seed, streams)):
         out["sum_estimate"] += values
         centered = scale * (values - mean_values)
         deviation = scale * (values - truth_values)
@@ -227,14 +234,9 @@ def _run_block(
 
 
 def _merge_blocks(blocks: list[dict]) -> dict:
+    """Blocks in order: the estimate sums add, per-replication arrays concatenate."""
     merged = {"sum_estimate": sum(b["sum_estimate"] for b in blocks)}
-    for key in (
-        "probe_centered",
-        "sup_centered",
-        "sup_deviation",
-        "band_sup_deviation",
-        "holder_moduli",
-    ):
+    for key in blocks[0].keys() - merged.keys():
         merged[key] = np.concatenate([b[key] for b in blocks])
     return merged
 
@@ -272,11 +274,10 @@ def run_monte_carlo(
     )
     h_grid = DEFAULT_H_GRID
     band_probes = _band_probes(band_num_probes)
-    band_cov = _cached_band_cov(model, alpha, band_num_probes, False)
-    calib = band_cov.factor @ np.random.Generator(
-        np.random.Philox(key=config.seed + _STREAM_CALIBRATION)
-    ).standard_normal((band_num_probes, calibration_draws))
-    u0 = float(np.quantile(np.max(np.abs(calib), axis=0), 1.0 - config.delta_confidence))
+    u0 = _band_half_width(
+        model, alpha, band_num_probes, False, config.seed, calibration_draws,
+        config.delta_confidence,
+    )
 
     probe_theory = limit_covariance(model, alpha, np.array(config.probe_lambdas))
     for n_idx, n in enumerate(config.n_list):
@@ -287,11 +288,11 @@ def run_monte_carlo(
         block_args = []
         workers = max(1, int(threads))
         block_size = math.ceil(rep / math.ceil(rep / 64))
-        for r0 in range(0, rep, block_size):
+        for r0 in range(stream_base, stream_base + rep, block_size):
             block_args.append(
                 (
-                    model, n, alpha, num_points, config.seed, stream_base,
-                    (r0, min(r0 + block_size, rep)), config.probe_lambdas,
+                    model, n, alpha, num_points, config.seed,
+                    range(r0, min(r0 + block_size, stream_base + rep)), config.probe_lambdas,
                     band_probes, h_grid, mean_fn.values, truth_fn.values,
                 )
             )
@@ -357,10 +358,9 @@ def confidence_band(
     if calibration_draws < 1000:
         raise DomainError(f"calibration_draws must be >= 1000, got {calibration_draws!r}")
     probes = _band_probes(num_probes)
-    cov = _cached_band_cov(model, alpha, num_probes, real_symmetry)
-    rng = np.random.Generator(np.random.Philox(key=seed + _STREAM_CALIBRATION))
-    draws = cov.factor @ rng.standard_normal((num_probes, calibration_draws))
-    u0 = float(np.quantile(np.max(np.abs(draws), axis=0), 1.0 - delta))
+    u0 = _band_half_width(
+        model, alpha, num_probes, real_symmetry, seed, calibration_draws, delta
+    )
 
     num_points = default_grid_points(n)
     lam = np.linspace(0.0, TWO_PI, num_points)
@@ -368,19 +368,8 @@ def confidence_band(
     truth_probes = np.interp(probes, lam, truth.values)
     hit = 0
     half_width = u0 / math.sqrt(n)
-    for r in range(replications):
-        path = sample_path(model, n, seed, stream=_STREAM_COVERAGE + r)
-        est = frac_estimate(periodogram(path, num_points), alpha)
-        dev = np.max(np.abs(np.interp(probes, lam, est.grid_fn.values) - truth_probes))
+    streams = range(_STREAM_COVERAGE, _STREAM_COVERAGE + replications)
+    for values in replicate(model, n, alpha, num_points, seed, streams):
+        dev = np.max(np.abs(np.interp(probes, lam, values) - truth_probes))
         hit += dev <= half_width
     return u0, hit / replications
-
-
-def write_report(report: McReport, out_dir: str | Path, comments: Sequence[str] = ()) -> None:
-    """Emit report.json plus the flat CSV tables into out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    prefix = "".join(f"# {line}\n" for line in comments)
-    (out / "report.json").write_text(report.to_json_text() + "\n", encoding="utf-8")
-    for name, text in report.csv_tables().items():
-        (out / name).write_text(prefix + text, encoding="utf-8")

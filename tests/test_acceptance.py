@@ -37,16 +37,13 @@ def run_var_const():
     estimators from the same 800 replications (criteria 5 and 6)."""
     n, reps, pts = 2048, 800, 8193
     lam = np.linspace(0.0, TWO_PI, pts)
-    probes = np.array([PI / 2, PI])
-    a_vals = np.empty((reps, 2))
-    z_vals = np.empty(reps)
-    for r in range(reps):
-        j = estimate.periodogram(gsim.sample_path(CONST, n, seed=101, stream=r), pts)
-        fa = estimate.frac_estimate(j, 0.25)
-        f0 = estimate.frac_estimate(j, 0.0)
-        a_vals[r] = np.interp(probes, lam, fa.grid_fn.values)
-        z_vals[r] = np.interp(PI, lam, f0.grid_fn.values)
-    return n, a_vals, z_vals
+
+    def probe_values(alpha, probes):
+        # draws are keyed by (seed, stream): both orders see the same paths
+        runs = verify.replicate(CONST, n, alpha, pts, 101, range(reps))
+        return np.array([np.interp(probes, lam, values) for values in runs])
+
+    return n, probe_values(0.25, np.array([PI / 2, PI])), probe_values(0.0, PI)
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +57,8 @@ def run_centered_const():
     h_grid = np.array(verify.DEFAULT_H_GRID)
     zeta_pi = np.empty(reps)
     moduli = np.empty((reps, h_grid.size))
-    for r in range(reps):
-        j = estimate.periodogram(gsim.sample_path(CONST, n, seed=202, stream=r), pts)
-        fa = estimate.frac_estimate(j, 0.25)
-        centered = scale * (fa.grid_fn.values - mean_fn.values)
+    for r, values in enumerate(verify.replicate(CONST, n, 0.25, pts, 202, range(reps))):
+        centered = scale * (values - mean_fn.values)
         zeta_pi[r] = np.interp(PI, lam, centered)
         moduli[r] = fracops.modulus_profile(GridFunction(centered), h_grid)
     return zeta_pi, moduli, h_grid
@@ -76,11 +71,8 @@ def run_tails():
     n, reps, pts = 1024, 2000, 4097
     mean_fn = verify.expected_estimate(CONST, n, 0.25, pts)
     scale = math.sqrt(n)
-    sups = np.empty(reps)
-    for r in range(reps):
-        j = estimate.periodogram(gsim.sample_path(CONST, n, seed=303, stream=r), pts)
-        fa = estimate.frac_estimate(j, 0.25)
-        sups[r] = scale * np.max(np.abs(fa.grid_fn.values - mean_fn.values))
+    runs = verify.replicate(CONST, n, 0.25, pts, 303, range(reps))
+    sups = np.array([scale * np.max(np.abs(values - mean_fn.values)) for values in runs])
     return sups, reps
 
 
@@ -169,9 +161,8 @@ def test_criterion_08_bias_decay():
     sup_bias = {}
     for n in (512, 2048):
         acc = np.zeros(pts)
-        for r in range(reps):
-            j = estimate.periodogram(gsim.sample_path(AR1, n, seed=404, stream=r), pts)
-            acc += estimate.frac_estimate(j, alpha).grid_fn.values
+        for values in verify.replicate(AR1, n, alpha, pts, 404, range(reps)):
+            acc += values
         sup_bias[n] = float(np.max(np.abs(acc / reps - truth.values)))
     factor = sup_bias[512] / sup_bias[2048]
     _check(

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspec import __version__
+from fracspec import GridFunction, __version__
 from fracspec.cli import main
 
 CONST_C = 1.0 / (2.0 * math.pi)
@@ -129,6 +129,26 @@ class TestEstimateVerb:
         assert body.startswith("# fracspec")
         assert "alpha = 0.25" in body
 
+    def test_simulated_mean_is_removed(self, tmp_path):
+        # the periodogram of a path simulated with a mean must not see that mean
+        estimates = []
+        for mean in ("2.5", "0"):
+            sim_ini = _write(
+                tmp_path / f"sim_{mean}.ini",
+                "[model]\nkind = ar1\nrho = 0.5\n\n"
+                f"[simulate]\nn = 256\nmean = {mean}\nseed = 0\n",
+            )
+            paths_dir = tmp_path / f"paths_{mean}"
+            assert _run("simulate", "--config", str(sim_ini), "--out", str(paths_dir)) == 0
+            est_ini = _write(
+                tmp_path / f"est_{mean}.ini",
+                f"[estimate]\npath_csv = {paths_dir / 'path_000.csv'}\nalpha = 0.25\n",
+            )
+            out = tmp_path / f"est_out_{mean}"
+            assert _run("estimate", "--config", str(est_ini), "--out", str(out)) == 0
+            estimates.append(GridFunction.from_csv(out / "estimate.csv").values)
+        np.testing.assert_allclose(estimates[0], estimates[1], rtol=0, atol=1e-9)
+
 
 class TestTruthVerb:
     def test_constant_frac_derivative_value(self, tmp_path):
@@ -162,6 +182,17 @@ class TestMcVerb:
         head = (out / "cov.csv").read_text().splitlines()
         assert head[0] == f"# fracspec {__version__}"
         assert any(line.startswith("# seed = 2") for line in head)
+
+    def test_bundle_file_set(self, mc_ini, tmp_path):
+        out = tmp_path / "m"
+        assert _run("mc", "--config", str(mc_ini), "--out", str(out)) == 0
+        names = {p.name for p in out.iterdir()}
+        assert names == {
+            "report.json", "bias.csv", "cov.csv", "normality.csv",
+            "tails.csv", "holder.csv", "confidence.csv",
+        }
+        for name in sorted(names - {"report.json"}):
+            assert (out / name).read_text().startswith(f"# fracspec {__version__}\n"), name
 
     def test_outputs_identical_across_threads(self, mc_ini, tmp_path):
         out1, out2 = tmp_path / "t1", tmp_path / "t2"

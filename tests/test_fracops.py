@@ -28,17 +28,6 @@ def _brute_modulus(g: GridFunction, h: float) -> float:
     return best
 
 
-class TestGammaFn:
-    def test_matches_math_gamma(self):
-        for x in (0.5, 1.0, 1.5, 2.0, 3.7):
-            assert fracops.gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-15)
-
-    def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(DomainError):
-                fracops.gamma_fn(bad)
-
-
 class TestFracIntegral:
     def test_power_rule_constant(self):
         # I^0.5[1](1) = x^0.5 / Gamma(1.5)
@@ -162,17 +151,3 @@ class TestModulus:
         g = GridFunction(np.ones(65))
         with pytest.raises(DomainError):
             fracops.modulus_of_continuity(g, g.spacing / 10)
-
-
-class TestHolderNorm:
-    def test_zero_function(self):
-        norm, vanishing = fracops.holder_norm(GridFunction(np.zeros(129)), 0.3)
-        assert norm == 0.0 and vanishing == 0.0
-
-    def test_scales_linearly(self):
-        rng = np.random.default_rng(5)
-        v = np.cumsum(rng.standard_normal(257)) * 0.1
-        n1, v1 = fracops.holder_norm(GridFunction(v), 0.2)
-        n2, v2 = fracops.holder_norm(GridFunction(3.0 * v), 0.2)
-        assert n2 == pytest.approx(3 * n1, rel=1e-12)
-        assert v2 == pytest.approx(3 * v1, rel=1e-12)

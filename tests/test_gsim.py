@@ -59,12 +59,6 @@ class TestSamplePath:
         assert back.seed == path.seed
         assert back.model_id == path.model_id
 
-    def test_center_sample(self):
-        path = gsim.sample_path(AR1, 128, seed=3, mean=4.0)
-        centered = gsim.center_sample(path)
-        assert centered.centered
-        assert abs(float(np.mean(centered.values))) < 1e-12
-
 
 class TestLimitProcess:
     def test_covariance_of_draws(self):

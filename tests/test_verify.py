@@ -1,5 +1,7 @@
 import json
-import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,18 +47,19 @@ class TestMcConfig:
             _config(probe_lambdas=(3.0, 1.0))
 
 
-class TestCenteredProcesses:
-    def test_centered_minus_deviation_is_deterministic_bias(self):
-        n, alpha, pts = 128, 0.25, 1025
-        j = estimate.periodogram(gsim.sample_path(AR1, n, seed=1), pts)
-        est = estimate.frac_estimate(j, alpha)
-        zeta = verify.centered_process(est, AR1)
-        theta = verify.deviation_process(est, AR1)
-        mean_fn = verify.expected_estimate(AR1, n, alpha, pts)
-        truth = specmodel.frac_truth_profile(AR1, alpha, pts)
-        bias = math.sqrt(n) * (mean_fn.values - truth.values)
-        np.testing.assert_allclose(theta.values - zeta.values, bias, atol=1e-10)
+class TestReplicate:
+    @pytest.mark.parametrize("model", [CONST, AR1], ids=["constant", "ar1"])
+    def test_matches_explicit_chain_in_stream_order(self, model):
+        n, alpha, pts, seed, streams = 128, 0.25, 1025, 9, (5, 0, 3)
+        got = list(verify.replicate(model, n, alpha, pts, seed, streams))
+        assert len(got) == len(streams)
+        for values, stream in zip(got, streams):
+            path = gsim.sample_path(model, n, seed, stream=stream)
+            expected = estimate.frac_estimate(estimate.periodogram(path, pts), alpha)
+            assert np.array_equal(values, expected.grid_fn.values)
 
+
+class TestCenteredProcesses:
     def test_bias_curve_decreases_with_n(self):
         sups = []
         for n in (256, 1024):
@@ -127,12 +130,20 @@ class TestConfidenceBand:
             verify.confidence_band(CONST, 0.25, 64, 0.05, 10, seed=0)
 
 
-def test_write_report_bundle(tmp_path):
-    rep = verify.run_monte_carlo(_config(replications=5), calibration_draws=1000)
-    verify.write_report(rep, tmp_path, comments=["v0"])
-    names = {p.name for p in tmp_path.iterdir()}
-    assert names == {
-        "report.json", "bias.csv", "cov.csv", "normality.csv",
-        "tails.csv", "holder.csv", "confidence.csv",
-    }
-    assert (tmp_path / "bias.csv").read_text().startswith("# v0\n")
+def test_csv_table_formats_ints_and_floats():
+    text = verify.csv_table("n,x,y", [(3, 0.1, np.float64(2.0) / 3.0), (4, 1.0, "censored")])
+    assert text == "n,x,y\n3,0.10000000000000001,0.66666666666666663\n4,1,censored\n"
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, reps", [("tail_envelope.py", "300"), ("variance_convergence.py", "100")]
+)
+def test_script_runs(script, reps):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--n", "128", "--reps", reps],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
