@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, specmodel, verify
 from .errors import ConfigError, DomainError, NumericalError
 from .estimate import default_grid_points, frac_estimate, periodogram
-from .grid import TWO_PI
+from .grid import TWO_PI, csv_table
 from .gsim import SamplePath, sample_path
 from .specmodel import SpectralModel, limit_covariance
 
@@ -163,7 +163,7 @@ def build_mc_config(
         replications=_get(mc, "replications", int),
         probe_lambdas=_get(mc, "probe_lambdas", _float_list, (math.pi / 2, math.pi)),
         seed=seed,
-        tail_u_grid=_get(mc, "tail_u_grid", _float_list, verify.default_tail_grid()),
+        tail_u_grid=_get(mc, "tail_u_grid", _float_list, verify.DEFAULT_TAIL_GRID),
         holder_delta=_get(mc, "holder_delta", float, 0.0) or None,
         delta_confidence=_get(mc, "delta_confidence", float, 0.05),
         grid_points=_get(mc, "grid_points", int, 0) or None,
@@ -200,10 +200,6 @@ def _header(sections: dict, seed: int | None, grid_sizes: dict) -> list[str]:
     return lines
 
 
-def _prefix(comments: list[str]) -> str:
-    return "".join(f"# {line}\n" for line in comments)
-
-
 def _cmd_simulate(args, sections: dict, config_dir: Path) -> None:
     model = _model_from(sections, config_dir)
     sim = sections.get("simulate", {})
@@ -227,12 +223,10 @@ def _cmd_estimate(args, sections: dict, config_dir: Path) -> None:
     j = periodogram(path, num_points)
     fa = frac_estimate(j, alpha)
     header = _header(sections, path.seed, {"n": path.n, "grid_points": num_points})
-    _write_atomic(
-        args.out / "periodogram.csv", j.grid_fn.to_csv_text(comments=header), args.force
-    )
+    _write_atomic(args.out / "periodogram.csv", j.to_csv_text(comments=header), args.force)
     _write_atomic(
         args.out / "estimate.csv",
-        fa.grid_fn.to_csv_text(comments=header + [f"alpha = {alpha:g}"]),
+        fa.to_csv_text(comments=header + [f"alpha = {alpha:g}"]),
         args.force,
     )
 
@@ -272,8 +266,8 @@ def _cmd_mc(args, sections: dict, config_dir: Path) -> None:
     }
     header = _header(sections, config.seed, grid_sizes)
     _write_atomic(args.out / "report.json", report.to_json_text() + "\n", args.force)
-    for name, table in report.csv_tables().items():
-        _write_atomic(args.out / name, _prefix(header) + table, args.force)
+    for name, table in report.csv_tables(header).items():
+        _write_atomic(args.out / name, table, args.force)
 
 
 def _cmd_confidence(args, sections: dict, config_dir: Path) -> None:
@@ -290,8 +284,8 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> None:
         model, alpha, n, delta, draws, seed, replications=reps, num_probes=num_probes
     )
     header = _header(sections, seed, {"n": n, "num_probes": num_probes})
-    table = verify.csv_table("n,delta,u0,coverage", [(n, delta, u0, coverage)])
-    _write_atomic(args.out / "confidence.csv", _prefix(header) + table, args.force)
+    table = csv_table("n,delta,u0,coverage", [(n, delta, u0, coverage)], comments=header)
+    _write_atomic(args.out / "confidence.csv", table, args.force)
 
 
 def _cmd_fejer(args, sections: dict, config_dir: Path) -> None:
@@ -302,8 +296,8 @@ def _cmd_fejer(args, sections: dict, config_dir: Path) -> None:
         raise ConfigError("fejer n_list must contain at least one n")
     header = _header(sections, None, {"n_list": " ".join(map(str, n_list))})
     rows = [(n, *verify._fejer_bias(model, n)) for n in n_list]
-    table = verify.csv_table("n,sup_err,bound", rows)
-    _write_atomic(args.out / "fejer.csv", _prefix(header) + table, args.force)
+    table = csv_table("n,sup_err,bound", rows, comments=header)
+    _write_atomic(args.out / "fejer.csv", table, args.force)
 
 
 _DISPATCH = {

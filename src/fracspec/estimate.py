@@ -4,7 +4,6 @@ fractional estimator, and the plug-in variance of the limit law."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,25 +21,7 @@ def default_grid_points(n: int) -> int:
     return min(4 * max(int(n), 1024), MAX_GRID_POINTS - 1) + 1
 
 
-@dataclass(frozen=True, eq=False)
-class Periodogram:
-    n: int
-    grid_fn: GridFunction
-
-    def __post_init__(self) -> None:
-        v = self.grid_fn.values
-        if np.min(v) < -1e-12:
-            raise DomainError("periodogram values must be nonnegative")
-
-
-@dataclass(frozen=True, eq=False)
-class FracEstimate:
-    alpha: float
-    n: int
-    grid_fn: GridFunction
-
-
-def periodogram(path: SamplePath, num_points: int | None = None) -> Periodogram:
+def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction:
     """Evaluate the periodogram exactly at every point of the uniform grid.
 
     The trigonometric sum is a polynomial in exp(i lam); on the uniform grid
@@ -59,24 +40,23 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> Periodogram:
     transform = m * np.fft.ifft(folded)
     vals = np.abs(transform) ** 2 / (TWO_PI * n)
     vals = np.concatenate((vals, vals[:1]))
-    return Periodogram(n=n, grid_fn=GridFunction(vals, periodic=True))
+    return GridFunction(vals, periodic=True)
 
 
-def empirical_spectral_function(j: Periodogram) -> GridFunction:
+def empirical_spectral_function(j: GridFunction) -> GridFunction:
     """Cumulative trapezoid integral of the periodogram; 0 at lam = 0."""
-    return fracops.frac_integral(j.grid_fn, 1.0)
+    return fracops.frac_integral(j, 1.0)
 
 
-def frac_estimate(j: Periodogram, alpha: float) -> FracEstimate:
+def frac_estimate(j: GridFunction, alpha: float) -> GridFunction:
     """Fractional integral of order 1 - alpha applied to the periodogram."""
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
-    grid_fn = fracops.frac_integral(j.grid_fn, 1.0 - alpha)
-    return FracEstimate(alpha=alpha, n=j.n, grid_fn=grid_fn)
+    return fracops.frac_integral(j, 1.0 - alpha)
 
 
 def plugin_variance(
-    j: Periodogram, alpha: float, lam: float, bias_correction: float = 0.5
+    j: GridFunction, alpha: float, lam: float, bias_correction: float = 0.5
 ) -> float:
     """Plug-in estimate of the limit variance at lam.
 
@@ -90,7 +70,7 @@ def plugin_variance(
         raise DomainError(f"lambda must lie in (0, 2*pi], got {lam!r}")
     if not (bias_correction > 0.0):
         raise DomainError(f"bias_correction must be positive, got {bias_correction!r}")
-    squared = j.grid_fn.map_values(lambda v: v**2)
+    squared = GridFunction(j.values**2, periodic=True)
     i2a = fracops.frac_integral(squared, 2.0 * alpha).interp(min(lam, TWO_PI))
     scale = 4.0 * math.pi * math.gamma(1.0 - 2.0 * alpha) / math.gamma(1.0 - alpha) ** 2
     return bias_correction * scale * float(i2a)

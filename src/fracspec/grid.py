@@ -1,12 +1,12 @@
-"""Uniform-grid function carrier on [0, 2*pi] plus CSV round-trip."""
+"""Uniform-grid function carrier on [0, 2*pi] plus CSV round-trip, and the
+one CSV writer every output goes through."""
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -16,6 +16,18 @@ TWO_PI = 2.0 * np.pi
 
 #: periodic endpoint values must agree to this tolerance
 PERIODIC_TOL = 1e-12
+
+
+def csv_table(header: str, rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:
+    """CSV text: one `# ` line per comment, the header line, then one line per
+    row; floats (numpy's included) print with 17 significant digits,
+    everything else with str."""
+    lines = [f"# {line}" for line in comments]
+    lines.append(header)
+    lines += [
+        ",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +65,6 @@ class GridFunction:
         g.setflags(write=False)
         return g
 
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[np.ndarray], np.ndarray], num_points: int, periodic: bool = False
-    ) -> "GridFunction":
-        lam = np.linspace(0.0, TWO_PI, num_points)
-        return cls(np.asarray(fn(lam), dtype=float), periodic=periodic)
-
     def interp(self, lam) -> np.ndarray | float:
         """Piecewise-linear interpolation at points inside [0, 2*pi]."""
         lam_arr = np.asarray(lam, dtype=float)
@@ -68,23 +73,10 @@ class GridFunction:
         out = np.interp(np.clip(lam_arr, 0.0, TWO_PI), self.grid, self.values)
         return float(out) if np.isscalar(lam) or lam_arr.ndim == 0 else out
 
-    def map_values(self, fn: Callable[[np.ndarray], np.ndarray], periodic: bool | None = None) -> "GridFunction":
-        new = np.asarray(fn(self.values), dtype=float)
-        return GridFunction(new, periodic=self.periodic if periodic is None else periodic)
-
     # --- CSV serialization: two columns `lambda,value`, 17 significant digits ---
 
     def to_csv_text(self, comments: Sequence[str] = ()) -> str:
-        buf = io.StringIO()
-        for line in comments:
-            buf.write(f"# {line}\n")
-        buf.write("lambda,value\n")
-        for lam, v in zip(self.grid, self.values):
-            buf.write(f"{lam:.17g},{v:.17g}\n")
-        return buf.getvalue()
-
-    def to_csv(self, path: str | Path, comments: Sequence[str] = ()) -> None:
-        Path(path).write_text(self.to_csv_text(comments), encoding="utf-8")
+        return csv_table("lambda,value", zip(self.grid.tolist(), self.values.tolist()), comments)
 
     @classmethod
     def from_csv_text(cls, text: str, periodic: bool = False) -> "GridFunction":
@@ -96,7 +88,10 @@ class GridFunction:
             fields = line.split(",")
             if len(fields) != 2:
                 raise DomainError(f"bad CSV row: {line!r}")
-            rows.append(float(fields[1]))
+            try:
+                rows.append(float(fields[1]))
+            except ValueError:
+                raise DomainError(f"bad CSV row: {line!r}") from None
         return cls(np.array(rows), periodic=periodic)
 
     @classmethod

@@ -9,7 +9,6 @@ reproducible independently of scheduling.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -17,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import DomainError, SamplingError
+from .grid import csv_table
 from .specmodel import LimitCovariance, SpectralModel, autocovariance_batch
 
 #: embedding eigenvalues above this are clipped to 0, below it the embedding fails
@@ -54,24 +54,18 @@ class SamplePath:
         object.__setattr__(self, "values", vals)
 
     def to_csv_text(self, comments: Sequence[str] = ()) -> str:
-        buf = io.StringIO()
-        for line in comments:
-            buf.write(f"# {line}\n")
-        buf.write(f"# seed = {self.seed}\n")
-        buf.write(f"# model_id = {self.model_id}\n")
-        buf.write(f"# centered = {self.centered}\n")
-        buf.write(f"# added_mean = {self.added_mean:.17g}\n")
-        buf.write("eta\n")
-        for v in self.values:
-            buf.write(f"{v:.17g}\n")
-        return buf.getvalue()
-
-    def to_csv(self, path: str | Path, comments: Sequence[str] = ()) -> None:
-        Path(path).write_text(self.to_csv_text(comments), encoding="utf-8")
+        meta = [
+            f"seed = {self.seed}",
+            f"model_id = {self.model_id}",
+            f"centered = {self.centered}",
+            f"added_mean = {self.added_mean:.17g}",
+        ]
+        return csv_table("eta", ((v,) for v in self.values.tolist()), [*comments, *meta])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SamplePath":
-        meta = {"seed": "0", "model_id": "unknown", "centered": "False", "added_mean": "0"}
+        """Read a path CSV; the `# seed` and `# model_id` lines are required."""
+        meta = {"centered": "False", "added_mean": "0"}
         vals = []
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             line = line.strip()
@@ -81,14 +75,24 @@ class SamplePath:
                     key, _, val = body.partition("=")
                     meta[key.strip()] = val.strip()
             elif line and line != "eta":
-                vals.append(float(line))
+                try:
+                    vals.append(float(line))
+                except ValueError:
+                    raise DomainError(f"{path}: bad sample value {line!r}") from None
+        for key in ("seed", "model_id"):
+            if key not in meta:
+                raise DomainError(f"{path}: missing '# {key} = ...' line")
+        try:
+            seed, added_mean = int(meta["seed"]), float(meta["added_mean"])
+        except ValueError as exc:
+            raise DomainError(f"{path}: bad header value: {exc}") from None
         return cls(
             n=len(vals),
             values=np.array(vals),
-            seed=int(meta["seed"]),
+            seed=seed,
             model_id=meta["model_id"],
             centered=meta["centered"] == "True",
-            added_mean=float(meta["added_mean"]),
+            added_mean=added_mean,
         )
 
 
@@ -128,7 +132,8 @@ def sample_path(
     return SamplePath(n=n, values=path, seed=seed, model_id=model.model_id, added_mean=mean)
 
 
-def sample_limit_process(cov: LimitCovariance, seed: int, stream: int = 0) -> np.ndarray:
-    """One draw of the limit Gaussian process restricted to the probe grid."""
-    rng = make_rng(seed, stream)
-    return cov.factor @ rng.standard_normal(cov.factor.shape[1])
+def sample_limit_process(cov: LimitCovariance, seed: int, draws: int) -> np.ndarray:
+    """`draws` independent draws of the limit Gaussian process on the probe
+    grid, one per column, from the generator keyed by `seed`."""
+    z = make_rng(seed).standard_normal((cov.factor.shape[1], draws))
+    return cov.factor @ z

@@ -2,13 +2,12 @@
 
 Everything the Monte Carlo harness compares against lives here:
 autocovariances, the spectral function, its fractional derivative, the
-Fejer-smoothed periodogram expectation, the limit covariance of the scaled
-estimator process, and the beta distance.
+Fejer-smoothed periodogram expectation, and the limit covariance of the
+scaled estimator process.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +19,7 @@ from scipy.integrate import quad
 
 from . import fracops
 from .errors import DomainError, NumericalError
-from .grid import TWO_PI, GridFunction
+from .grid import TWO_PI, GridFunction, csv_table
 
 #: resolution of the cached high-accuracy truth profiles
 TRUTH_POINTS = 65537
@@ -74,18 +73,6 @@ class SpectralModel:
         if self.kind == "ar1":
             return f"ar1(rho={self.rho:.17g})"
         return f"custom_grid(points={self.grid_fn.num_points})"
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        """(C1, C2) with C1 <= f <= C2 everywhere."""
-        if self.kind == "constant":
-            return self.c, self.c
-        if self.kind == "ar1":
-            r = abs(self.rho)
-            lo = (1.0 - r) / (1.0 + r) / (2.0 * math.pi)
-            hi = (1.0 + r) / (1.0 - r) / (2.0 * math.pi)
-            return lo, hi
-        return float(np.min(self.grid_fn.values)), float(np.max(self.grid_fn.values))
 
     def density(self, lam) -> np.ndarray | float:
         lam_arr = np.asarray(lam, dtype=float)
@@ -158,21 +145,6 @@ def _autocov_batch_custom(model: SpectralModel, mmax: int) -> np.ndarray:
     return out
 
 
-def spectral_function(model: SpectralModel, lam: float) -> float:
-    """F(lam): cumulative integral of the density from 0."""
-    if not (0.0 <= lam <= TWO_PI + 1e-12):
-        raise DomainError(f"lambda must lie in [0, 2*pi], got {lam!r}")
-    lam = min(lam, TWO_PI)
-    if model.kind == "constant":
-        return model.c * lam
-    if model.kind == "ar1":
-        val, err = quad(model.density, 0.0, lam, **_QUAD_KW)
-        if err > 1e-10:
-            raise NumericalError(f"spectral_function quadrature error {err:g}")
-        return val
-    return float(spectral_profile(model, TRUTH_POINTS).interp(lam))
-
-
 @lru_cache(maxsize=64)
 def spectral_profile(model: SpectralModel, num_points: int) -> GridFunction:
     """F on a uniform grid, by cumulative trapezoid of a fine density grid."""
@@ -181,20 +153,6 @@ def spectral_profile(model: SpectralModel, num_points: int) -> GridFunction:
     if integ.num_points == num_points:
         return integ
     return GridFunction(integ.interp(np.linspace(0.0, TWO_PI, num_points)))
-
-
-def frac_spectral_derivative(model: SpectralModel, alpha: float, lam: float) -> float:
-    """Ground-truth fractional derivative of the spectral function at lam."""
-    if not (0.0 <= alpha < 0.5):
-        raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
-    if not (0.0 <= lam <= TWO_PI + 1e-12):
-        raise DomainError(f"lambda must lie in [0, 2*pi], got {lam!r}")
-    lam = min(lam, TWO_PI)
-    if alpha == 0.0:
-        return spectral_function(model, lam)
-    if model.kind == "constant":
-        return model.c * lam ** (1.0 - alpha) / math.gamma(2.0 - alpha)
-    return float(frac_truth_profile(model, alpha, TRUTH_POINTS).interp(lam))
 
 
 @lru_cache(maxsize=64)
@@ -229,7 +187,9 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
     """Fejer-smoothed density: the exact expectation of the periodogram.
 
     Evaluated through the Cesaro-weighted cosine series of the autocovariances,
-    which equals the convolution of the density with the Fejer kernel.
+    which equals the convolution of the density with the Fejer kernel. On the
+    m-point circle cos(k lam) depends only on k mod m, so the coefficients are
+    folded onto m bins and the series is one exact FFT for every n.
     """
     if int(n) < 1:
         raise DomainError(f"expected_periodogram needs n >= 1, got {n!r}")
@@ -239,17 +199,8 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
     r = autocovariance_batch(model, n - 1)
     coeff = r * (1.0 - np.arange(n) / n)
     m_circle = out_grid - 1
-    if n <= m_circle:
-        # exact trig-polynomial evaluation on the uniform grid via FFT
-        spectrum = np.zeros(m_circle, dtype=complex)
-        spectrum[:n] = coeff
-        series = np.fft.ifft(spectrum).real * m_circle
-    else:
-        lam = np.linspace(0.0, TWO_PI, out_grid)[:-1]
-        series = np.full(m_circle, coeff[0])
-        for start in range(1, n, 256):
-            ms = np.arange(start, min(start + 256, n))
-            series += np.cos(np.outer(lam, ms)) @ coeff[ms]
+    folded = np.bincount(np.arange(n) % m_circle, weights=coeff, minlength=m_circle)
+    series = np.fft.ifft(folded).real * m_circle
     vals = (2.0 * series - coeff[0]) / TWO_PI
     vals = np.concatenate((vals, vals[:1]))
     return GridFunction(vals, periodic=True)
@@ -266,11 +217,6 @@ def beta_sq(model: SpectralModel, lam: float) -> float:
     if err > 1e-10:
         raise NumericalError(f"beta_sq quadrature error {err:g}")
     return 4.0 * math.pi * val
-
-
-def beta_distance(model: SpectralModel, lam: float, mu: float) -> float:
-    """d_beta(lam, mu) = |beta(lam) - beta(mu)|."""
-    return abs(math.sqrt(beta_sq(model, lam)) - math.sqrt(beta_sq(model, mu)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +236,9 @@ class LimitCovariance:
             object.__setattr__(self, name, arr)
 
     def to_csv_text(self, comments: Sequence[str] = ()) -> str:
-        buf = io.StringIO()
-        for line in comments:
-            buf.write(f"# {line}\n")
-        buf.write(",".join(f"{x:.17g}" for x in self.probe_grid) + "\n")
-        for row in self.matrix:
-            buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
-        return buf.getvalue()
+        """The probe grid as the header line, then one line per matrix row."""
+        header = ",".join(f"{x:.17g}" for x in self.probe_grid)
+        return csv_table(header, self.matrix, comments)
 
 
 def _kernel_direct(model: SpectralModel, alpha: float, lam: float, mu: float) -> float:

@@ -17,8 +17,8 @@ from scipy import stats
 from . import fracops, specmodel
 from .errors import DomainError
 from .estimate import default_grid_points, frac_estimate, periodogram
-from .grid import TWO_PI, GridFunction
-from .gsim import sample_path
+from .grid import TWO_PI, GridFunction, csv_table
+from .gsim import sample_limit_process, sample_path
 from .specmodel import SpectralModel, limit_covariance, theta_diagonal
 
 #: stream-index offsets keeping replication phases disjoint
@@ -29,9 +29,14 @@ _STREAM_COVERAGE = 3 << 40
 #: default dyadic window grid for the Holder-modulus ratios
 DEFAULT_H_GRID = tuple(TWO_PI * 2.0**-k for k in range(7, 2, -1))
 
+#: default sup-norm thresholds u of the tail table: 0.5, 1.0, ..., 4.0
+DEFAULT_TAIL_GRID = tuple(0.5 * k for k in range(1, 9))
 
-def default_tail_grid() -> tuple[float, ...]:
-    return tuple(np.arange(0.5, 4.01, 0.5))
+#: probes of the sup-norm band (mc and confidence_band default)
+BAND_PROBES = 64
+
+#: limit-process draws calibrating the mc band half-width u0
+MC_CALIBRATION_DRAWS = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +49,7 @@ class McConfig:
     replications: int
     probe_lambdas: tuple[float, ...] = (math.pi / 2, math.pi)
     seed: int = 0
-    tail_u_grid: tuple[float, ...] = field(default_factory=default_tail_grid)
+    tail_u_grid: tuple[float, ...] = DEFAULT_TAIL_GRID
     holder_delta: float | None = None
     delta_confidence: float = 0.05
     grid_points: int | None = None
@@ -121,29 +126,20 @@ class McReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def csv_tables(self) -> dict[str, str]:
+    def csv_tables(self, comments: Sequence[str]) -> dict[str, str]:
+        """CSV text of each table, keyed by file name, each starting with `comments`."""
         tails = [
             (n, u, w0, "censored" if censored else w)
             for (n, u, w0, w, censored) in self.tail_rows
         ]
         return {
-            "bias.csv": csv_table("n,lambda,bias", self.bias_rows),
-            "cov.csv": csv_table("n,lambda,mu,emp,theory,rel_err", self.cov_rows),
-            "normality.csv": csv_table("n,lambda,ks,p", self.normality_rows),
-            "tails.csv": csv_table("n,u,w0,w", tails),
-            "holder.csv": csv_table("n,h,q95_ratio", self.holder_rows),
-            "confidence.csv": csv_table("n,delta,u0,coverage", self.confidence_rows),
+            "bias.csv": csv_table("n,lambda,bias", self.bias_rows, comments),
+            "cov.csv": csv_table("n,lambda,mu,emp,theory,rel_err", self.cov_rows, comments),
+            "normality.csv": csv_table("n,lambda,ks,p", self.normality_rows, comments),
+            "tails.csv": csv_table("n,u,w0,w", tails, comments),
+            "holder.csv": csv_table("n,h,q95_ratio", self.holder_rows, comments),
+            "confidence.csv": csv_table("n,delta,u0,coverage", self.confidence_rows, comments),
         }
-
-
-def csv_table(header: str, rows: Iterable[Sequence]) -> str:
-    """CSV text: the header line, then one line per row; floats (numpy's
-    included) print with 17 significant digits, everything else with str."""
-
-    def fmt(x) -> str:
-        return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-    return "\n".join([header] + [",".join(fmt(x) for x in row) for row in rows]) + "\n"
 
 
 @lru_cache(maxsize=64)
@@ -171,7 +167,7 @@ def replicate(
     estimate (path -> periodogram -> fractional integral of order 1 - alpha)."""
     for stream in streams:
         path = sample_path(model, n, seed, stream=stream)
-        yield frac_estimate(periodogram(path, num_points), alpha).grid_fn.values
+        yield frac_estimate(periodogram(path, num_points), alpha).values
 
 
 def _band_probes(num_probes: int) -> np.ndarray:
@@ -192,8 +188,7 @@ def _band_half_width(
     """u0: the (1 - delta) quantile of the sup over the band probes of |limit
     process|, from `draws` simulated limit-process vectors."""
     cov = _cached_band_cov(model, alpha, num_probes, real_symmetry)
-    rng = np.random.Generator(np.random.Philox(key=seed + _STREAM_CALIBRATION))
-    sims = cov.factor @ rng.standard_normal((num_probes, draws))
+    sims = sample_limit_process(cov, seed + _STREAM_CALIBRATION, draws)
     return float(np.quantile(np.max(np.abs(sims), axis=0), 1.0 - delta))
 
 
@@ -252,12 +247,7 @@ def _fejer_bias(model: SpectralModel, n: int) -> tuple[float, float]:
     return sup_err, bound
 
 
-def run_monte_carlo(
-    config: McConfig,
-    threads: int = 1,
-    band_num_probes: int = 64,
-    calibration_draws: int = 2000,
-) -> McReport:
+def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
     """Run the full replication plan and aggregate every diagnostic.
 
     Replications are cut into blocks of at most 64 whatever the worker count,
@@ -273,9 +263,9 @@ def run_monte_carlo(
         replications=rep,
     )
     h_grid = DEFAULT_H_GRID
-    band_probes = _band_probes(band_num_probes)
+    band_probes = _band_probes(BAND_PROBES)
     u0 = _band_half_width(
-        model, alpha, band_num_probes, False, config.seed, calibration_draws,
+        model, alpha, BAND_PROBES, False, config.seed, MC_CALIBRATION_DRAWS,
         config.delta_confidence,
     )
 
@@ -348,7 +338,7 @@ def confidence_band(
     calibration_draws: int,
     seed: int,
     replications: int = 400,
-    num_probes: int = 64,
+    num_probes: int = BAND_PROBES,
     real_symmetry: bool = False,
 ) -> tuple[float, float]:
     """Sup-norm band half-width u0 (via simulated limit-process quantiles) and

@@ -82,7 +82,7 @@ def run_tails():
 def test_criterion_01_abel_inversion():
     worst = 0.0
     for alpha in (0.1, 0.25, 0.4):
-        g = GridFunction.from_callable(np.sin, 4096)
+        g = GridFunction(np.sin(np.linspace(0.0, TWO_PI, 4096)))
         recon = fracops.frac_derivative(fracops.frac_integral(g, alpha), alpha)
         interior = slice(1, -1)
         worst = max(worst, float(np.max(np.abs(recon.values[interior] - g.values[interior]))))
@@ -93,7 +93,7 @@ def test_criterion_02_power_rule():
     beta, x = 0.5, PI
     worst = 0.0
     for mu in (0.5, 1.0, 2.0):
-        g = GridFunction.from_callable(lambda t: t**mu, 8192)
+        g = GridFunction(np.linspace(0.0, TWO_PI, 8192) ** mu)
         out = fracops.frac_integral(g, beta)
         exact = math.gamma(mu + 1) / math.gamma(mu + beta + 1) * x ** (mu + beta)
         worst = max(worst, abs(out.interp(x) - exact) / exact)
@@ -103,10 +103,10 @@ def test_criterion_02_power_rule():
 def test_criterion_03_estimator_reduction():
     path = gsim.sample_path(CONST, 64, seed=7)
     j = estimate.periodogram(path, 4097)
-    a = estimate.frac_estimate(j, 0.0).grid_fn.values
+    a = estimate.frac_estimate(j, 0.0).values
     b = estimate.empirical_spectral_function(j).values
     reduction = float(np.max(np.abs(a - b)))
-    mass = np.trapezoid(j.grid_fn.values, dx=j.grid_fn.spacing)
+    mass = np.trapezoid(j.values, dx=j.spacing)
     energy = float(path.values @ path.values) / path.n
     parseval = abs(mass - energy)
     ok = reduction <= 1e-12 and parseval <= 1e-8

@@ -150,6 +150,39 @@ class TestEstimateVerb:
         np.testing.assert_allclose(estimates[0], estimates[1], rtol=0, atol=1e-9)
 
 
+class TestMalformedInput:
+    """A bad CSV given as input is a domain error (exit 1), not a traceback."""
+
+    def _estimate(self, tmp_path, path_text: str) -> int:
+        path_csv = _write(tmp_path / "path.csv", path_text)
+        est_ini = _write(
+            tmp_path / "est.ini", f"[estimate]\npath_csv = {path_csv}\nalpha = 0.25\n"
+        )
+        return _run("estimate", "--config", str(est_ini), "--out", str(tmp_path / "o"))
+
+    def test_path_csv_with_non_numeric_row(self, tmp_path, capsys):
+        text = "# seed = 0\n# model_id = ar1(rho=0.5)\neta\n0.5\nabc\n1.5\n"
+        assert self._estimate(tmp_path, text) == 1
+        assert "'abc'" in capsys.readouterr().err
+
+    def test_path_csv_without_seed_line(self, tmp_path, capsys):
+        text = "# model_id = ar1(rho=0.5)\neta\n0.5\n-0.25\n1.5\n"
+        assert self._estimate(tmp_path, text) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_custom_grid_csv_with_non_numeric_value(self, tmp_path, capsys):
+        grid_csv = _write(
+            tmp_path / "grid.csv", "lambda,value\n0,1\n3.14,x\n6.283185307179586,1\n"
+        )
+        cfg = _write(
+            tmp_path / "t.ini",
+            f"[model]\nkind = custom_grid\ngrid_csv_path = {grid_csv}\n\n"
+            "[truth]\nalpha = 0.25\nnum_points = 65\n",
+        )
+        assert _run("truth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert "'3.14,x'" in capsys.readouterr().err
+
+
 class TestTruthVerb:
     def test_constant_frac_derivative_value(self, tmp_path):
         cfg = _write(

@@ -40,14 +40,6 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             SpectralModel.from_mapping({"kind": "constant", "c": "1", "weird": "1"})
 
-    def test_bounds_bracket_density(self):
-        for model in (CONST, AR1, _custom_model()):
-            c1, c2 = model.bounds
-            lam = np.linspace(0, TWO_PI, 513)
-            dens = model.density(lam)
-            assert np.all(dens >= c1 - 1e-12)
-            assert np.all(dens <= c2 + 1e-12)
-
 
 class TestAutocovariance:
     def test_constant_is_white_noise(self):
@@ -68,22 +60,27 @@ class TestAutocovariance:
 
 
 class TestSpectralFunction:
+    # pi/2 and pi are grid points of a 4097-point grid, so no interpolation
+    # error enters the comparisons below
+
     def test_total_mass_is_r0(self):
         for model in (CONST, AR1, _custom_model()):
-            total = specmodel.spectral_function(model, TWO_PI)
+            total = specmodel.spectral_profile(model, 4097).values[-1]
             assert total == pytest.approx(specmodel.autocovariance_batch(model, 0)[0], rel=1e-8)
 
     def test_frac_derivative_constant_closed_form(self):
-        val = specmodel.frac_spectral_derivative(CONST, 0.25, math.pi)
+        val = specmodel.frac_truth_profile(CONST, 0.25, 4097).interp(math.pi)
         exact = (1.0 / TWO_PI) * math.pi**0.75 / math.gamma(1.75)
         assert val == pytest.approx(exact, rel=1e-12)
         assert val == pytest.approx(0.40864, abs=5e-5)
 
     def test_alpha_zero_reduces_to_spectral_function(self):
-        for lam in (1.0, math.pi):
-            assert specmodel.frac_spectral_derivative(AR1, 0.0, lam) == pytest.approx(
-                specmodel.spectral_function(AR1, lam), rel=1e-10
-            )
+        spectral = specmodel.spectral_profile(AR1, 4097)
+        frac = specmodel.frac_truth_profile(AR1, 0.0, 4097)
+        np.testing.assert_allclose(frac.values, spectral.values, rtol=1e-12)
+        for lam in (math.pi / 2, math.pi):
+            oracle, _ = quad(AR1.density, 0.0, lam, epsabs=1e-13, epsrel=1e-13)
+            assert spectral.interp(lam) == pytest.approx(oracle, rel=1e-9)
 
 
 class TestFejer:
@@ -111,6 +108,20 @@ class TestFejer:
         )
         assert ej.interp(0.0) == pytest.approx(oracle, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "model", [CONST, SpectralModel.ar1(0.95)], ids=["constant", "ar1_0.95"]
+    )
+    @pytest.mark.parametrize("n, out_grid", [(300, 17), (300, 65), (2001, 2001)])
+    def test_expected_periodogram_longer_than_grid(self, model, n, out_grid):
+        # n > out_grid - 1: the Cesaro coefficients wrap around the circle;
+        # rho = 0.95 keeps the wrapped lags large enough to matter
+        lam = np.linspace(0.0, TWO_PI, out_grid)
+        k = np.arange(1, n)
+        coeff = specmodel.autocovariance_batch(model, n - 1) * (1.0 - np.arange(n) / n)
+        direct = (coeff[0] + 2.0 * np.cos(np.outer(lam, k)) @ coeff[1:]) / TWO_PI
+        ej = specmodel.expected_periodogram(model, n, out_grid)
+        np.testing.assert_allclose(ej.values, direct, rtol=1e-12, atol=1e-14)
+
     def test_smoothing_bias_shrinks(self):
         errs = []
         dens = AR1.density_grid(2049)
@@ -125,25 +136,6 @@ class TestBetaDistance:
         assert specmodel.beta_sq(CONST, math.pi) == pytest.approx(
             4 * math.pi * CONST.c**2 * math.pi, rel=1e-12
         )
-
-    def test_two_sided_equivalence_with_bounds(self):
-        # d_beta(lam, mu) = 4 pi f^2(xi) |lam - mu| / (beta(lam) + beta(mu))
-        # for some xi between them, so the ratio to |lam - mu| lies between
-        # 4 pi c1^2 / (2 beta_max) and 4 pi c2^2 / (2 beta(lam_min))
-        model = AR1
-        c1, c2 = model.bounds
-        lam_min = 0.1
-        beta_min = math.sqrt(specmodel.beta_sq(model, lam_min))
-        beta_max = math.sqrt(specmodel.beta_sq(model, TWO_PI))
-        lo = 4 * math.pi * c1**2 / (2 * beta_max)
-        hi = 4 * math.pi * c2**2 / (2 * beta_min)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            lam, mu = np.sort(rng.uniform(lam_min, TWO_PI, size=2))
-            if mu - lam < 1e-3:
-                continue
-            ratio = specmodel.beta_distance(model, lam, mu) / (mu - lam)
-            assert lo * 0.99 <= ratio <= hi * 1.01
 
 
 class TestLimitCovariance:

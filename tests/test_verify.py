@@ -8,6 +8,7 @@ import pytest
 
 from fracspec import DomainError, TWO_PI
 from fracspec import estimate, gsim, specmodel, verify
+from fracspec.grid import csv_table
 from fracspec.specmodel import SpectralModel
 
 CONST = SpectralModel.constant(1.0 / TWO_PI)
@@ -25,7 +26,7 @@ class TestMcConfig:
         cfg = _config()
         assert cfg.holder_delta == pytest.approx(0.5 - 0.25 - 0.05)
         assert cfg.delta_confidence == 0.05
-        assert cfg.tail_u_grid == verify.default_tail_grid()
+        assert cfg.tail_u_grid == verify.DEFAULT_TAIL_GRID
 
     def test_rejects_alpha_at_half(self):
         with pytest.raises(DomainError):
@@ -56,7 +57,7 @@ class TestReplicate:
         for values, stream in zip(got, streams):
             path = gsim.sample_path(model, n, seed, stream=stream)
             expected = estimate.frac_estimate(estimate.periodogram(path, pts), alpha)
-            assert np.array_equal(values, expected.grid_fn.values)
+            assert np.array_equal(values, expected.values)
 
 
 class TestCenteredProcesses:
@@ -71,9 +72,7 @@ class TestCenteredProcesses:
 
 @pytest.fixture(scope="module")
 def small_report():
-    return verify.run_monte_carlo(
-        _config(n_list=(128,), replications=60), calibration_draws=1000
-    )
+    return verify.run_monte_carlo(_config(n_list=(128,), replications=60))
 
 
 class TestRunMonteCarlo:
@@ -98,20 +97,20 @@ class TestRunMonteCarlo:
 
     def test_deterministic(self):
         cfg = _config(replications=10)
-        a = verify.run_monte_carlo(cfg, calibration_draws=1000).to_json_text()
-        b = verify.run_monte_carlo(cfg, calibration_draws=1000).to_json_text()
+        a = verify.run_monte_carlo(cfg).to_json_text()
+        b = verify.run_monte_carlo(cfg).to_json_text()
         assert a == b
 
     def test_csv_tables_have_headers(self, small_report):
-        tables = small_report.csv_tables()
-        assert tables["cov.csv"].startswith("n,lambda,mu,emp,theory,rel_err\n")
-        assert tables["tails.csv"].startswith("n,u,w0,w\n")
+        tables = small_report.csv_tables(["fracspec", "seed = 3"])
+        assert tables["cov.csv"].startswith("# fracspec\n# seed = 3\nn,lambda,mu,emp,theory,rel_err\n")
+        assert tables["tails.csv"].startswith("# fracspec\n# seed = 3\nn,u,w0,w\n")
 
     def test_variance_matches_symmetric_convention(self):
         # empirical n * Var at interior probes matches the mirror-corrected
         # covariance (the even-weight constant is 2x larger there)
         cfg = _config(n_list=(512,), replications=300, seed=21)
-        rep = verify.run_monte_carlo(cfg, calibration_draws=1000)
+        rep = verify.run_monte_carlo(cfg)
         for (n, lam, mu, emp, _theory, _rel) in rep.cov_rows:
             sym = specmodel.theta_point(CONST, 0.25, lam, mu, real_symmetry=True)
             assert emp == pytest.approx(sym, rel=0.35)
@@ -131,8 +130,11 @@ class TestConfidenceBand:
 
 
 def test_csv_table_formats_ints_and_floats():
-    text = verify.csv_table("n,x,y", [(3, 0.1, np.float64(2.0) / 3.0), (4, 1.0, "censored")])
+    rows = [(3, 0.1, np.float64(2.0) / 3.0), (4, 1.0, "censored")]
+    text = csv_table("n,x,y", rows)
     assert text == "n,x,y\n3,0.10000000000000001,0.66666666666666663\n4,1,censored\n"
+    text = csv_table("n,x,y", rows[1:], comments=["fracspec 0.1.0", "seed = 3"])
+    assert text == "# fracspec 0.1.0\n# seed = 3\nn,x,y\n4,1,censored\n"
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
