@@ -35,8 +35,8 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
         raise DomainError(f"periodogram needs num_points >= 2, got {num_points!r}")
     n = path.n
     m = num_points - 1
-    folded = np.zeros(m, dtype=float)
-    np.add.at(folded, np.arange(1, n + 1) % m, path.values - path.added_mean)
+    demeaned = path.values - path.added_mean
+    folded = np.bincount(np.arange(1, n + 1) % m, weights=demeaned, minlength=m)
     transform = m * np.fft.ifft(folded)
     vals = np.abs(transform) ** 2 / (TWO_PI * n)
     vals = np.concatenate((vals, vals[:1]))
@@ -60,9 +60,9 @@ def plugin_variance(
 ) -> float:
     """Plug-in estimate of the limit variance at lam.
 
-    The raw statistic replaces f^2 by the squared periodogram inside
-    I^(2 alpha); since the squared periodogram overshoots f^2 by a factor of
-    about 2 for Gaussian data, the default bias_correction halves it.
+    The limit variance is 4 pi Gamma(1-2a) / Gamma^2(1-a) * I^(1-2a)[f^2](lam).
+    The raw statistic puts the squared periodogram in place of f^2; that
+    overshoots by about 2 for Gaussian data, so bias_correction defaults to 1/2.
     """
     if not (0.0 < alpha < 0.5):
         raise DomainError(f"alpha must lie in (0, 1/2), got {alpha!r}")
@@ -71,6 +71,6 @@ def plugin_variance(
     if not (bias_correction > 0.0):
         raise DomainError(f"bias_correction must be positive, got {bias_correction!r}")
     squared = GridFunction(j.values**2, periodic=True)
-    i2a = fracops.frac_integral(squared, 2.0 * alpha).interp(min(lam, TWO_PI))
+    integral = fracops.frac_integral(squared, 1.0 - 2.0 * alpha).interp(min(lam, TWO_PI))
     scale = 4.0 * math.pi * math.gamma(1.0 - 2.0 * alpha) / math.gamma(1.0 - alpha) ** 2
-    return bias_correction * scale * float(i2a)
+    return bias_correction * scale * float(integral)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError
 from .grid import TWO_PI, GridFunction
@@ -83,14 +82,11 @@ def frac_integral(g: GridFunction, order: float) -> GridFunction:
     gamma = order + 1.0
     a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, n - 1))))
     b = _left_weights(gamma, np.arange(1, n))
-    if n > 512:
-        head = fftconvolve(a, v[1:])[: n - 1]
-    else:
-        head = np.convolve(a, v[1:])[: n - 1]
-    out = np.empty(n)
-    out[0] = 0.0
-    out[1:] = (h**order / math.gamma(order + 2.0)) * (b * v[0] + head)
-    return GridFunction(out)
+    # full linear convolution of a with v[1:]: real FFT zero-padded to a power of two >= 2n - 3
+    size = 1 << (2 * n - 4).bit_length()
+    head = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(v[1:], size), size)[: n - 1]
+    scale = h**order / math.gamma(order + 2.0)
+    return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + head))))
 
 
 def frac_derivative(g: GridFunction, order: float) -> GridFunction:

@@ -80,19 +80,24 @@ class GridFunction:
 
     @classmethod
     def from_csv_text(cls, text: str, periodic: bool = False) -> "GridFunction":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("lambda"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise DomainError(f"bad CSV row: {line!r}")
+        """Parse `lambda,value` rows; row k must be uniform-grid point k, to 1e-9 of a spacing."""
+        rows = [line.strip() for line in text.splitlines()]
+        rows = [row for row in rows if row and not row.startswith(("#", "lambda"))]
+        pairs = []
+        for row in rows:
             try:
-                rows.append(float(fields[1]))
-            except ValueError:
-                raise DomainError(f"bad CSV row: {line!r}") from None
-        return cls(np.array(rows), periodic=periodic)
+                lam, val = map(float, row.split(","))
+            except ValueError:  # a non-numeric field, or not exactly two of them
+                raise DomainError(f"bad CSV row: {row!r}") from None
+            pairs.append((lam, val))
+        lams, vals = np.array(pairs).reshape(-1, 2).T
+        out = cls(vals, periodic=periodic)
+        off_grid = ~(np.abs(lams - out.grid) <= 1e-9 * out.spacing)
+        if np.any(off_grid):
+            k = int(np.argmax(off_grid))
+            raise DomainError(f"bad CSV row: {rows[k]!r} (lambda must be {out.grid[k]:.17g}, "
+                              f"point {k} of the uniform {out.num_points}-point grid)")
+        return out
 
     @classmethod
     def from_csv(cls, path: str | Path, periodic: bool = False) -> "GridFunction":

@@ -82,6 +82,8 @@ class SamplePath:
         for key in ("seed", "model_id"):
             if key not in meta:
                 raise DomainError(f"{path}: missing '# {key} = ...' line")
+        if not vals:
+            raise DomainError(f"{path}: the path is empty (no sample values)")
         try:
             seed, added_mean = int(meta["seed"]), float(meta["added_mean"])
         except ValueError as exc:

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import fracops
 from .errors import DomainError, NumericalError
@@ -24,7 +23,15 @@ from .grid import TWO_PI, GridFunction, csv_table
 #: resolution of the cached high-accuracy truth profiles
 TRUTH_POINTS = 65537
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
+
+def _quad(integrand, lo: float, hi: float, max_err: float, name: str, where: str) -> float:
+    """quad at 1e-12 tolerance; an error estimate above max_err is a NumericalError."""
+    from scipy.integrate import quad  # imported on use: most verbs never integrate
+
+    val, err = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=400)
+    if err > max_err:
+        raise NumericalError(f"{name} quadrature error {err:g}{where}")
+    return val
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,10 +220,7 @@ def beta_sq(model: SpectralModel, lam: float) -> float:
     lam = min(lam, TWO_PI)
     if model.kind == "constant":
         return 4.0 * math.pi * model.c**2 * lam
-    val, err = quad(lambda x: model.density(x) ** 2, 0.0, lam, **_QUAD_KW)
-    if err > 1e-10:
-        raise NumericalError(f"beta_sq quadrature error {err:g}")
-    return 4.0 * math.pi * val
+    return 4.0 * math.pi * _quad(lambda x: model.density(x) ** 2, 0.0, lam, 1e-10, "beta_sq", "")
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,12 +263,8 @@ def _kernel_direct(model: SpectralModel, alpha: float, lam: float, mu: float) ->
         extra = 1.0 if lam == mu else (lam - mu + gap) ** (-alpha)
         return model.density(nu) ** 2 * extra
 
-    val, err = quad(integrand, 0.0, mu ** (1.0 - p), **_QUAD_KW)
-    if err > 1e-8:
-        raise NumericalError(
-            f"limit covariance quadrature error {err:g} at (lam, mu)=({lam:g}, {mu:g})"
-        )
-    return q * val
+    where = f" at (lam, mu)=({lam:g}, {mu:g})"
+    return q * _quad(integrand, 0.0, mu ** (1.0 - p), 1e-8, "limit covariance", where)
 
 
 def _kernel_mirror(model: SpectralModel, alpha: float, lam: float, mu: float) -> float:
@@ -292,14 +292,10 @@ def _kernel_mirror(model: SpectralModel, alpha: float, lam: float, mu: float) ->
         nu = hi - gap
         return model.density(nu) ** 2 * (nu - lo) ** (-alpha)
 
+    where = f" at (lam, mu)=({lam:g}, {mu:g})"
     total = 0.0
     for part, limit in ((lower, mid - lo), (upper, hi - mid)):
-        val, err = quad(part, 0.0, limit ** (1.0 - alpha), **_QUAD_KW)
-        if err > 1e-8:
-            raise NumericalError(
-                f"mirror covariance quadrature error {err:g} at (lam, mu)=({lam:g}, {mu:g})"
-            )
-        total += q * val
+        total += q * _quad(part, 0.0, limit ** (1.0 - alpha), 1e-8, "mirror covariance", where)
     return total
 
 

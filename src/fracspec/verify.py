@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import fracops, specmodel
 from .errors import DomainError
@@ -253,6 +252,7 @@ def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
     Replications are cut into blocks of at most 64 whatever the worker count,
     and blocks merge in order, so every thread count gives the same bytes.
     """
+    from scipy import stats  # imported on use: only the normality test needs it
     model = config.model
     alpha = config.alpha
     rep = config.replications

@@ -170,6 +170,12 @@ class TestMalformedInput:
         assert self._estimate(tmp_path, text) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_path_csv_without_values(self, tmp_path, capsys, recwarn):
+        text = "# seed = 0\n# model_id = ar1(rho=0.5)\neta\n"
+        assert self._estimate(tmp_path, text) == 1
+        assert "empty" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_custom_grid_csv_with_non_numeric_value(self, tmp_path, capsys):
         grid_csv = _write(
             tmp_path / "grid.csv", "lambda,value\n0,1\n3.14,x\n6.283185307179586,1\n"
@@ -267,3 +273,44 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+class TestImportGraph:
+    """scipy stays off the start-up path: only `mc` (kstest) and the limit
+    covariance (quad) load it. Each check runs in a fresh interpreter."""
+
+    @staticmethod
+    def _python(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = self._python(
+            "import sys, fracspec.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_verbs_run_with_scipy_blocked(self, tmp_path):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        est_ini = _write(
+            tmp_path / "est.ini",
+            f"[estimate]\npath_csv = {tmp_path / 'sim' / 'path_000.csv'}\nalpha = 0.25\n",
+        )
+        runs = [
+            [verb, "--config", str(cfg), "--out", str(tmp_path / out)]
+            for verb, cfg, out in (
+                ("simulate", configs / "simulate_ar1.ini", "sim"),
+                ("estimate", est_ini, "est"),
+                ("fejer", configs / "fejer_ar1.ini", "fej"),
+            )
+        ]
+        # a None entry in sys.modules makes every `import scipy...` raise ImportError
+        proc = self._python(
+            "import sys\nsys.modules['scipy'] = None\nfrom fracspec.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0]", proc.stderr

@@ -73,9 +73,10 @@ class TestFracEstimate:
 
 
 class TestPluginVariance:
-    def test_recovers_limit_variance_in_expectation(self):
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+    def test_recovers_limit_variance_in_expectation(self, alpha):
         # averaged over replications the plug-in tracks the stated limit variance
-        n, reps, alpha = 1024, 200, 0.25
+        n, reps = 1024, 200
         target = specmodel.theta_diagonal(CONST, alpha, math.pi)
         acc = 0.0
         for r in range(reps):

@@ -69,6 +69,22 @@ class TestFracIntegral:
             with pytest.raises(DomainError):
                 fracops.frac_integral(g, order)
 
+    @pytest.mark.parametrize("order", [0.5, 0.75, 0.99])
+    @pytest.mark.parametrize("num_points", [2, 3, 17, 513, 514])
+    def test_matches_direct_convolution(self, num_points, order):
+        # oracle: the product-integration sum with its convolution done
+        # directly by np.convolve, on small grids and on both sides of 513
+        # points; exponential data, like periodogram ordinates, are positive
+        g = GridFunction(np.random.default_rng(num_points).exponential(size=num_points))
+        n, h, v, gamma = num_points, g.spacing, g.values, order + 1.0
+        central = fracops._central_weights(gamma, np.arange(1, n - 1))
+        left = fracops._left_weights(gamma, np.arange(1, n))
+        head = np.convolve(np.concatenate(([1.0], central)), v[1:])[: n - 1]
+        expected = np.concatenate(
+            ([0.0], h**order / math.gamma(order + 2.0) * (left * v[0] + head))
+        )
+        np.testing.assert_allclose(fracops.frac_integral(g, order).values, expected, rtol=1e-12)
+
     @given(order=st.floats(0.05, 1.0))
     @settings(max_examples=20, deadline=None)
     def test_preserves_nonnegativity_and_linearity(self, order):

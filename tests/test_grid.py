@@ -63,3 +63,12 @@ def test_csv_skips_comments_and_header(tmp_path):
     assert text.startswith("# version 0\nlambda,value\n")
     back = GridFunction.from_csv(path)
     np.testing.assert_array_equal(back.values, g.values)
+
+
+def test_csv_lambda_column_must_be_the_uniform_grid():
+    # three rows mean the grid [0, pi, 2*pi]: the value given at 0.1 must not land at pi
+    with pytest.raises(DomainError, match=r"'0\.1,2'"):
+        GridFunction.from_csv_text("lambda,value\n0,1\n0.1,2\n6.283185307179586,1\n")
+    # lambda written as 2*pi*k/(N-1) sits within an ulp of np.linspace and loads
+    text = "".join(f"{TWO_PI * k / 4096:.17g},{k}\n" for k in range(4097))
+    np.testing.assert_array_equal(GridFunction.from_csv_text(text).values, np.arange(4097.0))
