@@ -223,12 +223,9 @@ def _cmd_estimate(args, sections: dict, config_dir: Path) -> None:
     j = periodogram(path, num_points)
     fa = frac_estimate(j, alpha)
     header = _header(sections, path.seed, {"n": path.n, "grid_points": num_points})
+    with_alpha = header + [f"alpha = {alpha:g}"]
     _write_atomic(args.out / "periodogram.csv", j.to_csv_text(comments=header), args.force)
-    _write_atomic(
-        args.out / "estimate.csv",
-        fa.to_csv_text(comments=header + [f"alpha = {alpha:g}"]),
-        args.force,
-    )
+    _write_atomic(args.out / "estimate.csv", fa.to_csv_text(comments=with_alpha), args.force)
 
 
 def _cmd_truth(args, sections: dict, config_dir: Path) -> None:
@@ -241,19 +238,13 @@ def _cmd_truth(args, sections: dict, config_dir: Path) -> None:
     spectral = specmodel.spectral_profile(model, num_points)
     truth = specmodel.frac_truth_profile(model, alpha, num_points)
     cov = limit_covariance(model, alpha, np.array(probes))
-    _write_atomic(
-        args.out / "spectral_function.csv", spectral.to_csv_text(comments=header), args.force
-    )
-    _write_atomic(
-        args.out / "frac_derivative.csv",
-        truth.to_csv_text(comments=header + [f"alpha = {alpha:g}"]),
-        args.force,
-    )
-    _write_atomic(
-        args.out / "theta.csv",
-        cov.to_csv_text(comments=header + [f"alpha = {alpha:g}"]),
-        args.force,
-    )
+    with_alpha = header + [f"alpha = {alpha:g}"]
+    for name, table, comments in (
+        ("spectral_function.csv", spectral, header),
+        ("frac_derivative.csv", truth, with_alpha),
+        ("theta.csv", cov, with_alpha),
+    ):
+        _write_atomic(args.out / name, table.to_csv_text(comments=comments), args.force)
 
 
 def _cmd_mc(args, sections: dict, config_dir: Path) -> None:

@@ -10,6 +10,7 @@ integral of order 1 - a.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,13 @@ from .grid import TWO_PI, GridFunction
 # keeps the relative weight error near machine precision for all k
 _SERIES_CUTOFF = 16
 _SERIES_TERMS = 9
+
+
+@lru_cache(maxsize=64)
+def _fft_length(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= target, the length scipy.fft.next_fast_len(target, True) picks."""
+    odd = (3**i * 5**j for i in range(target.bit_length()) for j in range(target.bit_length()))
+    return min(p << (-(-target // p) - 1).bit_length() for p in odd)
 
 
 def _binom(gamma: float, m: int) -> float:
@@ -82,8 +90,8 @@ def frac_integral(g: GridFunction, order: float) -> GridFunction:
     gamma = order + 1.0
     a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, n - 1))))
     b = _left_weights(gamma, np.arange(1, n))
-    # full linear convolution of a with v[1:]: real FFT zero-padded to a power of two >= 2n - 3
-    size = 1 << (2 * n - 4).bit_length()
+    # full linear convolution of a with v[1:]: real FFT zero-padded to a 5-smooth length >= 2n - 3
+    size = _fft_length(2 * n - 3)
     head = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(v[1:], size), size)[: n - 1]
     scale = h**order / math.gamma(order + 2.0)
     return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + head))))

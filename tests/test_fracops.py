@@ -85,6 +85,18 @@ class TestFracIntegral:
         )
         np.testing.assert_allclose(fracops.frac_integral(g, order).values, expected, rtol=1e-12)
 
+    def test_fft_length_is_the_fast_real_length(self):
+        # the padded convolution length is scipy's 5-smooth choice, so default
+        # grids of non-power-of-two n (4n + 1 points) keep the FFT size that
+        # fftconvolve used: 2 * 6001 - 3 pads to 12000, not 16384
+        from scipy.fft import next_fast_len
+
+        targets = [*range(1, 5001), 2 * 4101 - 3, 2 * 6001 - 3, 2 * 65537 - 3]
+        assert [fracops._fft_length(t) for t in targets] == [
+            next_fast_len(t, real=True) for t in targets
+        ]
+        assert fracops._fft_length(2 * 6001 - 3) == 12000
+
     @given(order=st.floats(0.05, 1.0))
     @settings(max_examples=20, deadline=None)
     def test_preserves_nonnegativity_and_linearity(self, order):
