@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, specmodel, verify
 from .errors import ConfigError, DomainError, NumericalError
-from .estimate import default_grid_points, frac_estimate, periodogram
+from .estimate import MAX_GRID_POINTS, default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, csv_table
 from .gsim import SamplePath, sample_path
 from .specmodel import SpectralModel, limit_covariance
@@ -42,7 +42,7 @@ _SECTION_KEYS = {
         "alpha", "n", "delta", "calibration_draws", "replications",
         "num_probes", "seed",
     },
-    "fejer": {"n_list", "num_points"},
+    "fejer": {"n_list"},
 }
 _VERB_SECTIONS = {
     "simulate": ("model", "simulate"),
@@ -136,6 +136,13 @@ def _get(section: dict, key: str, cast, default=None):
         raise ConfigError(f"invalid value for {key!r}: {raw!r}") from exc
 
 
+def _grid_points(section: dict, key: str, default: int) -> int:
+    num_points = _get(section, key, int, default)
+    if num_points > MAX_GRID_POINTS:
+        raise ConfigError(f"{key} must be <= {MAX_GRID_POINTS}, got {num_points}")
+    return num_points
+
+
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
@@ -153,8 +160,9 @@ def _model_from(sections: dict, config_dir: Path) -> SpectralModel:
 def build_mc_config(
     sections: dict, config_dir: Path, seed_override: int | None
 ) -> verify.McConfig:
-    model = _model_from(sections, config_dir)
     mc = sections.get("mc", {})
+    grid_points = _grid_points(mc, "grid_points", 0) or None
+    model = _model_from(sections, config_dir)
     seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
     return verify.McConfig(
         model=model,
@@ -166,7 +174,7 @@ def build_mc_config(
         tail_u_grid=_get(mc, "tail_u_grid", _float_list, verify.DEFAULT_TAIL_GRID),
         holder_delta=_get(mc, "holder_delta", float, 0.0) or None,
         delta_confidence=_get(mc, "delta_confidence", float, 0.05),
-        grid_points=_get(mc, "grid_points", int, 0) or None,
+        grid_points=grid_points,
     )
 
 
@@ -217,9 +225,9 @@ def _cmd_simulate(args, sections: dict, config_dir: Path) -> None:
 def _cmd_estimate(args, sections: dict, config_dir: Path) -> None:
     est = sections.get("estimate", {})
     alpha = _get(est, "alpha", float)
-    src = config_dir / _get(est, "path_csv", str)
-    path = SamplePath.from_csv(src)
-    num_points = _get(est, "num_points", int, 0) or default_grid_points(path.n)
+    num_points = _grid_points(est, "num_points", 0)
+    path = SamplePath.from_csv(config_dir / _get(est, "path_csv", str))
+    num_points = num_points or default_grid_points(path.n)
     j = periodogram(path, num_points)
     fa = frac_estimate(j, alpha)
     header = _header(sections, path.seed, {"n": path.n, "grid_points": num_points})
@@ -229,10 +237,10 @@ def _cmd_estimate(args, sections: dict, config_dir: Path) -> None:
 
 
 def _cmd_truth(args, sections: dict, config_dir: Path) -> None:
-    model = _model_from(sections, config_dir)
     tr = sections.get("truth", {})
+    num_points = _grid_points(tr, "num_points", 4097)
+    model = _model_from(sections, config_dir)
     alpha = _get(tr, "alpha", float)
-    num_points = _get(tr, "num_points", int, 4097)
     probes = _get(tr, "probe_lambdas", _float_list, (math.pi / 2, math.pi, TWO_PI))
     header = _header(sections, None, {"grid_points": num_points})
     spectral = specmodel.spectral_profile(model, num_points)

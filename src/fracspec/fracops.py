@@ -72,6 +72,21 @@ def _left_weights(gamma: float, n: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _product_weights(order: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read-only real FFT of the central weights, read-only left weights, and
+    the FFT length: a 5-smooth length >= 2n - 3, so the circular product is
+    the full linear convolution."""
+    gamma = order + 1.0
+    size = _fft_length(2 * n - 3)
+    a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, n - 1))))
+    a_hat = np.fft.rfft(a, size)
+    b = _left_weights(gamma, np.arange(1, n))
+    a_hat.setflags(write=False)
+    b.setflags(write=False)
+    return a_hat, b, size
+
+
 def frac_integral(g: GridFunction, order: float) -> GridFunction:
     """Riemann-Liouville fractional integral of the piecewise-linear interpolant.
 
@@ -87,12 +102,13 @@ def frac_integral(g: GridFunction, order: float) -> GridFunction:
         # weights at order 1 but free of convolution round-off
         out = np.concatenate(([0.0], np.cumsum(0.5 * h * (v[1:] + v[:-1]))))
         return GridFunction(out)
-    gamma = order + 1.0
-    a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, n - 1))))
-    b = _left_weights(gamma, np.arange(1, n))
-    # full linear convolution of a with v[1:]: real FFT zero-padded to a 5-smooth length >= 2n - 3
-    size = _fft_length(2 * n - 3)
-    head = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(v[1:], size), size)[: n - 1]
+    a_hat, b, size = _product_weights(order, n)
+    # full linear convolution of the central weights with v[1:]. The weights
+    # must stay the first operand: complex multiply is not bitwise commutative
+    # here, and a_hat * rfft(...) lets numpy reuse the temporary on the right
+    # as output once it passes 256 KiB, which swaps the operands
+    spectrum = np.fft.rfft(v[1:], size)
+    head = np.fft.irfft(np.multiply(a_hat, spectrum, out=spectrum), size)[: n - 1]
     scale = h**order / math.gamma(order + 2.0)
     return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + head))))
 

@@ -85,6 +85,42 @@ class TestPlumbing:
         assert "1/2" in capsys.readouterr().err
 
 
+    def test_fejer_rejects_num_points(self, tmp_path, capsys):
+        # the fejer grid is ceil(2 pi n) + 2 points; a num_points key is not read
+        cfg = _write(
+            tmp_path / "f.ini",
+            "[model]\nkind = ar1\nrho = 0.5\n\n[fejer]\nn_list = 64\nnum_points = 7\n",
+        )
+        assert _run("fejer", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert "unknown key(s) in [fejer]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, body",
+        [
+            ("estimate", "[estimate]\npath_csv = path.csv\nalpha = 0.25\nnum_points = 65538\n"),
+            ("truth", "[model]\nkind = constant\nc = 1\n\n"
+                      "[truth]\nalpha = 0.25\nnum_points = 65538\n"),
+            ("mc", "[model]\nkind = constant\nc = 1\n\n"
+                   "[mc]\nalpha = 0.25\nn_list = 64\nreplications = 2\ngrid_points = 65538\n"),
+        ],
+        ids=["estimate", "truth", "mc"],
+    )
+    def test_grid_above_ceiling_is_config_error(self, tmp_path, capsys, verb, body):
+        _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
+        cfg = _write(tmp_path / "g.ini", body)
+        out = tmp_path / "o"
+        assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
+        assert "<= 65537, got 65538" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_grid_at_ceiling_is_accepted(self, tmp_path):
+        _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
+        cfg = _write(
+            tmp_path / "g.ini",
+            "[estimate]\npath_csv = path.csv\nalpha = 0.25\nnum_points = 65537\n",
+        )
+        assert _run("estimate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
 class TestSimulate:
     def test_writes_paths_deterministically(self, sim_ini, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

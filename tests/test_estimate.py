@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspec import DomainError, TWO_PI
 from fracspec import estimate, gsim, specmodel
@@ -35,6 +37,20 @@ class TestPeriodogram:
         mass = np.trapezoid(j.values, dx=j.spacing)
         energy = float(path.values @ path.values) / path.n
         assert mass == pytest.approx(energy, abs=1e-8)
+
+
+    @given(
+        n=st.integers(1, 300),
+        num_points=st.integers(2, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mirror_symmetry(self, n, num_points, seed):
+        # J(2 pi - nu) = J(nu) for real data; 2 pi - nu_k is grid point m - k
+        values = np.random.default_rng(seed).standard_normal(n)
+        path = gsim.SamplePath(n=n, values=values, seed=seed, model_id="x")
+        j = estimate.periodogram(path, num_points).values
+        np.testing.assert_allclose(j, j[::-1], rtol=1e-12, atol=1e-13 * np.max(j))
 
 
 class TestFracEstimate:

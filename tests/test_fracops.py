@@ -106,6 +106,70 @@ class TestFracIntegral:
         doubled = fracops.frac_integral(GridFunction(2 * v), order)
         np.testing.assert_allclose(doubled.values, 2 * out.values, rtol=1e-12)
 
+    @given(
+        c0=st.floats(-1e3, 1e3, allow_subnormal=False),
+        c1=st.floats(-1e3, 1e3, allow_subnormal=False),
+        beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        num_points=st.integers(3, 5000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_on_linear_data(self, c0, c1, beta, num_points):
+        # I^beta[c0 + c1 t](x) = c0 x^beta / Gamma(beta+1) + c1 x^(beta+1) / Gamma(beta+2);
+        # the tolerance is relative to |first term| + |second term|, which
+        # stays meaningful where the two cancel
+        x = np.linspace(0.0, TWO_PI, num_points)
+        out = fracops.frac_integral(GridFunction(c0 + c1 * x), beta).values
+        t0 = c0 * x**beta / math.gamma(beta + 1.0)
+        t1 = c1 * x ** (beta + 1.0) / math.gamma(beta + 2.0)
+        assert np.all(np.abs(out - (t0 + t1)) <= 1e-10 * (np.abs(t0) + np.abs(t1)))
+
+
+def _uncached_frac_integral(v: np.ndarray, order: float) -> np.ndarray:
+    """Oracle: the product-integration sum with the weights rebuilt on every
+    call and both spectra multiplied as temporaries, weights first."""
+    n, gamma = v.size, order + 1.0
+    a = np.concatenate(([1.0], fracops._central_weights(gamma, np.arange(1, n - 1))))
+    b = fracops._left_weights(gamma, np.arange(1, n))
+    size = fracops._fft_length(2 * n - 3)
+    head = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(v[1:], size), size)[: n - 1]
+    scale = (TWO_PI / (n - 1)) ** order / math.gamma(order + 2.0)
+    return np.concatenate(([0.0], scale * (b * v[0] + head)))
+
+
+class TestWeightCache:
+    @pytest.mark.parametrize("order", [0.5, 0.75, 0.99])
+    @pytest.mark.parametrize("num_points", [513, 4097, 8193, 16385, 65537])
+    def test_bitwise_equal_to_uncached(self, num_points, order):
+        # the first call fills the cache, the second reads it
+        v = np.random.default_rng(num_points).exponential(size=num_points)
+        expected = _uncached_frac_integral(v, order)
+        for _ in range(2):
+            assert np.array_equal(fracops.frac_integral(GridFunction(v), order).values, expected)
+
+    def test_cached_arrays_are_read_only(self):
+        a_hat, b, _ = fracops._product_weights(0.75, 513)
+        with pytest.raises(ValueError):
+            a_hat[0] = 0.0
+        with pytest.raises(ValueError):
+            b[0] = 0.0
+
+    def test_never_aliases_caller_data(self):
+        rng = np.random.default_rng(5)
+        v1 = rng.exponential(size=513)
+        v2 = v1.copy()
+        v2[7] *= 3.0
+        a_hat, b, _ = fracops._product_weights(0.75, 513)
+        a_copy, b_copy = a_hat.copy(), b.copy()
+        g1, g2 = GridFunction(v1), GridFunction(v2)
+        out1 = fracops.frac_integral(g1, 0.75)
+        out2 = fracops.frac_integral(g2, 0.75)
+        assert fracops._product_weights(0.75, 513)[0] is a_hat
+        assert np.array_equal(out1.values, _uncached_frac_integral(v1, 0.75))
+        assert np.array_equal(out2.values, _uncached_frac_integral(v2, 0.75))
+        assert np.array_equal(a_hat, a_copy) and np.array_equal(b, b_copy)
+        for arr in (g1.values, g2.values, out1.values, out2.values):
+            assert not np.shares_memory(arr, a_hat) and not np.shares_memory(arr, b)
+
 
 class TestFracDerivative:
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
