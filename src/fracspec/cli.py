@@ -138,8 +138,8 @@ def _get(section: dict, key: str, cast, default=None):
 
 def _grid_points(section: dict, key: str, default: int) -> int:
     num_points = _get(section, key, int, default)
-    if num_points > MAX_GRID_POINTS:
-        raise ConfigError(f"{key} must be <= {MAX_GRID_POINTS}, got {num_points}")
+    if not 0 <= num_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"{key} must be between 0 and {MAX_GRID_POINTS}, got {num_points}")
     return num_points
 
 

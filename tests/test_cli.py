@@ -84,7 +84,6 @@ class TestPlumbing:
         assert rc == 1
         assert "1/2" in capsys.readouterr().err
 
-
     def test_fejer_rejects_num_points(self, tmp_path, capsys):
         # the fejer grid is ceil(2 pi n) + 2 points; a num_points key is not read
         cfg = _write(
@@ -105,12 +104,13 @@ class TestPlumbing:
         ],
         ids=["estimate", "truth", "mc"],
     )
-    def test_grid_above_ceiling_is_config_error(self, tmp_path, capsys, verb, body):
+    @pytest.mark.parametrize("size", [65538, -5])
+    def test_grid_outside_bounds_is_config_error(self, tmp_path, capsys, verb, body, size):
         _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
-        cfg = _write(tmp_path / "g.ini", body)
+        cfg = _write(tmp_path / "g.ini", body.replace("65538", str(size)))
         out = tmp_path / "o"
         assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
-        assert "<= 65537, got 65538" in capsys.readouterr().err
+        assert f"between 0 and 65537, got {size}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_grid_at_ceiling_is_accepted(self, tmp_path):
@@ -120,6 +120,7 @@ class TestPlumbing:
             "[estimate]\npath_csv = path.csv\nalpha = 0.25\nnum_points = 65537\n",
         )
         assert _run("estimate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
 
 class TestSimulate:
     def test_writes_paths_deterministically(self, sim_ini, tmp_path):

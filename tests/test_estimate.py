@@ -38,7 +38,6 @@ class TestPeriodogram:
         energy = float(path.values @ path.values) / path.n
         assert mass == pytest.approx(energy, abs=1e-8)
 
-
     @given(
         n=st.integers(1, 300),
         num_points=st.integers(2, 2000),
