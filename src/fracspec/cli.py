@@ -270,14 +270,18 @@ def _cmd_mc(args, sections: dict, config_dir: Path) -> None:
 
 
 def _cmd_confidence(args, sections: dict, config_dir: Path) -> None:
-    model = _model_from(sections, config_dir)
     cf = sections.get("confidence", {})
+    num_probes = _get(cf, "num_probes", int, verify.BAND_PROBES)
+    if not 1 <= num_probes <= verify.MAX_PROBES:
+        raise ConfigError(
+            f"num_probes must be between 1 and {verify.MAX_PROBES}, got {num_probes}"
+        )
+    model = _model_from(sections, config_dir)
     alpha = _get(cf, "alpha", float)
     n = _get(cf, "n", int)
     delta = _get(cf, "delta", float, 0.05)
     draws = _get(cf, "calibration_draws", int, 5000)
     reps = _get(cf, "replications", int, 400)
-    num_probes = _get(cf, "num_probes", int, 64)
     seed = args.seed if args.seed is not None else _get(cf, "seed", int, 0)
     u0, coverage = verify.confidence_band(
         model, alpha, n, delta, draws, seed, replications=reps, num_probes=num_probes

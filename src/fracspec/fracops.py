@@ -22,6 +22,10 @@ from .grid import TWO_PI, GridFunction
 _SERIES_CUTOFF = 16
 _SERIES_TERMS = 9
 
+# outputs at the first grid points are summed directly: the FFT's rounding
+# error scales with the largest output, and the outputs near x = 0 are small
+_DIRECT_POINTS = 64
+
 
 @lru_cache(maxsize=64)
 def _fft_length(target: int) -> int:
@@ -73,18 +77,19 @@ def _left_weights(gamma: float, n: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _product_weights(order: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Read-only real FFT of the central weights, read-only left weights, and
-    the FFT length: a 5-smooth length >= 2n - 3, so the circular product is
-    the full linear convolution."""
+def _product_weights(order: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Read-only real FFT of the central weights, their first _DIRECT_POINTS
+    values, the left weights, and the FFT length: a 5-smooth length >= 2n - 3,
+    so the circular product is the full linear convolution."""
     gamma = order + 1.0
     size = _fft_length(2 * n - 3)
     a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, n - 1))))
     a_hat = np.fft.rfft(a, size)
+    a_head = a[:_DIRECT_POINTS].copy()
     b = _left_weights(gamma, np.arange(1, n))
-    a_hat.setflags(write=False)
-    b.setflags(write=False)
-    return a_hat, b, size
+    for arr in (a_hat, a_head, b):
+        arr.setflags(write=False)
+    return a_hat, a_head, b, size
 
 
 def frac_integral(g: GridFunction, order: float) -> GridFunction:
@@ -102,15 +107,18 @@ def frac_integral(g: GridFunction, order: float) -> GridFunction:
         # weights at order 1 but free of convolution round-off
         out = np.concatenate(([0.0], np.cumsum(0.5 * h * (v[1:] + v[:-1]))))
         return GridFunction(out)
-    a_hat, b, size = _product_weights(order, n)
+    a_hat, a_head, b, size = _product_weights(order, n)
     # full linear convolution of the central weights with v[1:]. The weights
     # must stay the first operand: complex multiply is not bitwise commutative
     # here, and a_hat * rfft(...) lets numpy reuse the temporary on the right
     # as output once it passes 256 KiB, which swaps the operands
     spectrum = np.fft.rfft(v[1:], size)
-    head = np.fft.irfft(np.multiply(a_hat, spectrum, out=spectrum), size)[: n - 1]
+    conv = np.fft.irfft(np.multiply(a_hat, spectrum, out=spectrum), size)[: n - 1]
+    # the first outputs are small and summed directly (see _DIRECT_POINTS)
+    k = a_head.size
+    conv[:k] = np.convolve(a_head, v[1 : k + 1])[:k]
     scale = h**order / math.gamma(order + 2.0)
-    return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + head))))
+    return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + conv))))
 
 
 def frac_derivative(g: GridFunction, order: float) -> GridFunction:

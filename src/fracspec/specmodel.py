@@ -23,15 +23,16 @@ from .grid import TWO_PI, GridFunction, csv_table
 #: resolution of the cached high-accuracy truth profiles
 TRUTH_POINTS = 65537
 
-
-def _quad(integrand, lo: float, hi: float, max_err: float, name: str, where: str) -> float:
-    """quad at 1e-12 tolerance; an error estimate above max_err is a NumericalError."""
-    from scipy.integrate import quad  # imported on use: most verbs never integrate
-
-    val, err = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=400)
-    if err > max_err:
-        raise NumericalError(f"{name} quadrature error {err:g}{where}")
-    return val
+#: Gauss nodes per panel of the limit-covariance product rule, and of the
+#: larger rule it is checked against
+_RULE_NODES = 12
+_CHECK_NODES = 16
+#: largest relative gap between the two rules before a NumericalError
+_RULE_TOL = 1e-10
+#: quadrature nodes per block of probe pairs: keeps each temporary near 1 MB
+_BLOCK_NODES = 1 << 17
+#: most doublings in a geometric grading; 2^64 spans 2 pi from far below one ulp
+_MAX_DOUBLINGS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,20 +136,20 @@ def autocovariance_batch(model: SpectralModel, mmax: int) -> np.ndarray:
 
 
 def _autocov_batch_custom(model: SpectralModel, mmax: int) -> np.ndarray:
-    # exact integral of cos(m lam) against the piecewise-linear density
+    """Exact integral of cos(m lam) against the piecewise-linear density.
+
+    Integrating by parts twice leaves the jumps of the slope at the K grid
+    nodes lam_j = 2 pi j / K: r(m) = sum_j d_j cos(m lam_j) / m^2 with
+    d_j = slope_(j-1) - slope_j (cyclically), which is Re DFT(d)[m mod K] / m^2,
+    one FFT for every lag. r(0) is the trapezoid rule.
+    """
     g = model.grid_fn
-    lam = g.grid
-    v = g.values
-    a0, a1 = lam[:-1], lam[1:]
-    f0, f1 = v[:-1], v[1:]
-    slope = (f1 - f0) / (a1 - a0)
+    slope = np.diff(g.values) / g.spacing
+    jumps = np.roll(slope, 1) - slope
+    m = np.arange(1, mmax + 1)
     out = np.empty(mmax + 1)
-    out[0] = float(np.trapezoid(v, lam))
-    for m in range(1, mmax + 1):
-        s1, s0 = np.sin(m * a1), np.sin(m * a0)
-        c1, c0 = np.cos(m * a1), np.cos(m * a0)
-        term = (f1 * s1 - f0 * s0) / m + slope * (c1 - c0) / m**2
-        out[m] = float(np.sum(term))
+    out[0] = float(np.trapezoid(g.values, g.grid))
+    out[1:] = np.fft.fft(jumps).real[m % jumps.size] / m**2
     return out
 
 
@@ -220,7 +221,8 @@ def beta_sq(model: SpectralModel, lam: float) -> float:
     lam = min(lam, TWO_PI)
     if model.kind == "constant":
         return 4.0 * math.pi * model.c**2 * lam
-    return 4.0 * math.pi * _quad(lambda x: model.density(x) ** 2, 0.0, lam, 1e-10, "beta_sq", "")
+    # at alpha = 0 the limit variance is 4*pi * integral of f^2 and Gamma(1) = 1
+    return theta_point(model, 0.0, lam, lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,78 +247,234 @@ class LimitCovariance:
         return csv_table(header, self.matrix, comments)
 
 
-def _kernel_direct(model: SpectralModel, alpha: float, lam: float, mu: float) -> float:
-    """Integral of f^2(nu) (lam-nu)^-a (mu-nu)^-a over [0, min(lam, mu)]."""
-    lam, mu = max(lam, mu), min(lam, mu)
-    if mu == 0.0:
-        return 0.0
-    if alpha == 0.0:
-        return beta_sq(model, mu) / (4.0 * math.pi)
-    # the singularity at nu = mu has exponent a (off-diagonal) or 2a (diagonal);
-    # the substitution s = (mu - nu)^(1-exponent) makes the integrand bounded
-    p = 2.0 * alpha if lam == mu else alpha
-    q = 1.0 / (1.0 - p)
+@lru_cache(maxsize=16)
+def _gauss_jacobi(exponent: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the size-point Gauss rule on [0, 1] for
+    the weight t^-exponent; exponent 0 gives Gauss-Legendre.
 
-    def integrand(s: float) -> float:
-        gap = s**q
-        nu = mu - gap
-        extra = 1.0 if lam == mu else (lam - mu + gap) ** (-alpha)
-        return model.density(nu) ** 2 * extra
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    weight (1 + x)^b on [-1, 1], b = -exponent, mapped by t = (1 + x) / 2, and
+    the weights are the squared first eigenvector components times the mass
+    of the weight, 1 / (1 + b) on [0, 1].
+    """
+    b = -exponent
+    k = np.arange(1, size, dtype=float)
+    s = 2.0 * k + b
+    diag = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
+    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    nodes, weights = 0.5 * (1.0 + x), vec[0] ** 2 / (1.0 + b)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
-    where = f" at (lam, mu)=({lam:g}, {mu:g})"
-    return q * _quad(integrand, 0.0, mu ** (1.0 - p), 1e-8, "limit covariance", where)
+
+def _geometric(start: np.ndarray, step: np.ndarray, reach: float) -> np.ndarray:
+    """start + step 2^k, one row per pair, for k = 0, 1, ... until |step| 2^k >= reach."""
+    doublings = int(np.ceil(np.log2(max(reach / np.min(np.abs(step)), 1.0))))
+    return start[:, None] + step[:, None] * 2.0 ** np.arange(1 + min(_MAX_DOUBLINGS, doublings))
 
 
-def _kernel_mirror(model: SpectralModel, alpha: float, lam: float, mu: float) -> float:
-    """Integral of f^2(nu) (lam-nu)^-a (nu-(2 pi - mu))^-a over the overlap window.
+def _density_cuts(model: SpectralModel, origin: np.ndarray, sign: float) -> np.ndarray:
+    """Panel ends, in t, that resolve f^2(origin + sign t), one row per pair.
+
+    A custom density is piecewise linear, so f^2 is quadratic between its grid
+    points, and those are the cuts. An AR(1) density has poles at a distance
+    -ln|rho| from its peak (nu = 0 and 2 pi for rho > 0, pi for rho < 0), so
+    the cuts start at the peak and double away from it from that width.
+    """
+    if model.kind == "custom_grid":
+        return sign * (model.grid_fn.grid - origin[:, None])
+    if model.kind == "constant" or model.rho == 0.0:
+        return np.empty((origin.size, 0))
+    width = -math.log(abs(model.rho))
+    peaks = (0.0, TWO_PI) if model.rho > 0.0 else (math.pi,)
+    cuts = []
+    for peak in peaks:
+        at = sign * (peak - origin)
+        for step in (-width, width):
+            cuts.append(_geometric(at - step, np.full_like(at, step), TWO_PI))
+    return np.concatenate(cuts, axis=1)
+
+
+def _panel_ends(length: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Sorted panel ends on [0, length], one row per pair.
+
+    The first panel ends at the smallest cut in (0, length]. From there the
+    ends double toward length, so every later panel is at least its own width
+    away from the endpoint singularity at t = 0. Rows are padded with length
+    to the longest row; the padding panels have zero width.
+    """
+    cuts = np.concatenate((cuts, length[:, None]), axis=1)
+    first = np.min(np.where(cuts > 0.0, cuts, np.inf), axis=1)
+    grading = _geometric(2.0 * first, 2.0 * first, float(np.max(length)))
+    ends = np.clip(np.concatenate((cuts, grading), axis=1), first[:, None], None)
+    ends.sort(axis=1)
+    # drop repeated ends and those past length: move them to the back, keep
+    # as many columns as the row with the most panels needs, and pad with length
+    spare = np.concatenate((np.zeros((len(ends), 1), bool), ends[:, 1:] <= ends[:, :-1]), axis=1)
+    spare |= ends > length[:, None]
+    ends[spare] = np.inf
+    ends.sort(axis=1)
+    keep = ends.shape[1] - int(np.min(np.sum(spare, axis=1)))
+    return np.minimum(ends[:, :keep], length[:, None])
+
+
+def _panel_rule(ends: np.ndarray, exponent: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, one row per pair, of a composite rule for
+    t^-exponent g(t) dt on [0, ends[:, -1]]: Gauss-Jacobi on [0, ends[:, 0]],
+    then Gauss-Legendre on each panel between consecutive ends with
+    t^-exponent folded into the weights. Zero-width panels weigh nothing."""
+    xj, wj = _gauss_jacobi(exponent, size)
+    xl, wl = _gauss_jacobi(0.0, size)
+    first = ends[:, :1]
+    width = np.diff(ends, axis=1)[:, :, None]
+    nodes = (ends[:, :-1, None] + width * xl).reshape(len(ends), -1)
+    weights = (width * wl).reshape(len(ends), -1) * nodes**-exponent
+    return (
+        np.concatenate((first * xj, nodes), axis=1),
+        np.concatenate((first ** (1.0 - exponent) * wj, weights), axis=1),
+    )
+
+
+def _one_sided(
+    model: SpectralModel, alpha: float, origin: np.ndarray, sign: float,
+    length: np.ndarray, exponent: float, pole: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integral over t in [0, length] of t^-exponent |t - pole|^-alpha
+    f^2(origin + sign t), per pair, and the gap to a rule with more nodes.
+
+    pole lies outside [0, length]; without one the factor is 1. A pole below
+    0 (the direct kernel off the diagonal) adds cuts at -pole (2^(k+1) - 1), so
+    each panel is at least its width away from it; the mirror's pole at
+    2 length is half the window away and needs none. Evaluated in blocks of
+    pairs of about _BLOCK_NODES nodes.
+    """
+    value, gap = np.empty(origin.size), np.empty(origin.size)
+    per_pair = _CHECK_NODES * (_density_cuts(model, origin[:1], sign).shape[1] + _MAX_DOUBLINGS)
+    block = max(1, _BLOCK_NODES // per_pair)
+    for start in range(0, origin.size, block):
+        part = slice(start, start + block)
+        cuts = _density_cuts(model, origin[part], sign)
+        if pole is not None and np.all(pole[part] < 0.0):
+            below = pole[part]
+            grading = _geometric(below, -2.0 * below, float(np.max(length[part])))
+            cuts = np.concatenate((cuts, grading), axis=1)
+        ends = _panel_ends(length[part], cuts)
+        sums = []
+        for size in (_RULE_NODES, _CHECK_NODES):
+            t, w = _panel_rule(ends, exponent, size)
+            if pole is not None:
+                w = w * np.abs(t - pole[part, None]) ** -alpha
+            sums.append(np.sum(w * model.density(origin[part, None] + sign * t) ** 2, axis=1))
+        value[part] = sums[1]
+        gap[part] = np.abs(sums[1] - sums[0])
+    return value, gap
+
+
+def _power_step(base: np.ndarray, step: float | np.ndarray, e: float) -> np.ndarray:
+    """((base + step)^e - base^e) / e for base >= 0, accurate when step << base."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grown = base**e * np.expm1(e * np.log1p(step / base)) / e
+    return np.where(base > 0.0, grown, step**e / e)
+
+
+def _custom_diagonal(model: SpectralModel, mu: np.ndarray, exponent: float) -> np.ndarray:
+    """Integral of f^2(nu) (mu - nu)^-exponent over [0, mu] for a custom density.
+
+    f^2 is quadratic on each cell, so each cell is summed from the exact
+    moments of t^-exponent, t = mu - nu, in the offset u from the cell's end
+    nearer mu: the integral of u^k (near + u)^-exponent over [0, width].
+    """
+    g = model.grid_fn
+    slope = np.diff(g.values) / g.spacing
+    out = np.empty(mu.size)
+    block = max(1, _BLOCK_NODES // g.num_points)
+    for start in range(0, mu.size, block):
+        m = mu[start : start + block, None]
+        near = np.clip(m - g.grid[1:], 0.0, None)
+        width = np.clip(m - g.grid[:-1], 0.0, None) - near
+        top = g.values[:-1] + slope * (m - near - g.grid[:-1])  # f at nu = mu - near
+        j0, j1, j2 = (_power_step(near, width, k + 1.0 - exponent) for k in range(3))
+        m1 = j1 - near * j0
+        m2 = j2 - 2.0 * near * j1 + near**2 * j0
+        cells = top**2 * j0 - 2.0 * top * slope * m1 + slope**2 * m2
+        out[start : start + block] = np.sum(cells, axis=1)
+    return out
+
+
+def _direct(model: SpectralModel, alpha: float, lam: np.ndarray, mu: np.ndarray):
+    """Integral of f^2(nu) (lam-nu)^-a (mu-nu)^-a over [0, mu] for lam >= mu,
+    and its quadrature error estimate.
+
+    In t = mu - nu the singular factor is t^-a off the diagonal and t^-2a on
+    it; it is the Gauss-Jacobi weight of the first panel. A custom density
+    takes exact moments on the diagonal.
+    """
+    value, gap = np.zeros(mu.shape), np.zeros(mu.shape)
+    diag = (lam == mu) & (mu > 0.0)
+    off = (lam != mu) & (mu > 0.0)
+    if model.kind == "custom_grid":
+        value[diag] = _custom_diagonal(model, mu[diag], 2.0 * alpha)
+    elif diag.any():
+        value[diag], gap[diag] = _one_sided(model, alpha, mu[diag], -1.0, mu[diag], 2.0 * alpha)
+    if off.any():
+        value[off], gap[off] = _one_sided(
+            model, alpha, mu[off], -1.0, mu[off], alpha, pole=mu[off] - lam[off]
+        )
+    return value, gap
+
+
+def _mirror(model: SpectralModel, alpha: float, lam: np.ndarray, mu: np.ndarray):
+    """Integral of f^2(nu) (lam-nu)^-a (nu-(2 pi - mu))^-a over the overlap window,
+    and its quadrature error estimate.
 
     Nonzero only when lam + mu > 2 pi; captures the exact correlation between
     the periodogram at nu and its mirror point 2 pi - nu for real samples.
+    Each half of the window is a one-sided rule from its singular end.
     """
-    lam, mu = max(lam, mu), min(lam, mu)
     lo, hi = TWO_PI - mu, lam
-    if hi <= lo + 1e-15:
-        return 0.0
-    if alpha == 0.0:
-        return (beta_sq(model, hi) - beta_sq(model, lo)) / (4.0 * math.pi)
-    mid = 0.5 * (lo + hi)
-    q = 1.0 / (1.0 - alpha)
-
-    def lower(s: float) -> float:
-        gap = s**q
-        nu = lo + gap
-        return model.density(nu) ** 2 * (hi - nu) ** (-alpha)
-
-    def upper(s: float) -> float:
-        gap = s**q
-        nu = hi - gap
-        return model.density(nu) ** 2 * (nu - lo) ** (-alpha)
-
-    where = f" at (lam, mu)=({lam:g}, {mu:g})"
-    total = 0.0
-    for part, limit in ((lower, mid - lo), (upper, hi - mid)):
-        total += q * _quad(part, 0.0, limit ** (1.0 - alpha), 1e-8, "mirror covariance", where)
-    return total
+    value, gap = np.zeros(mu.shape), np.zeros(mu.shape)
+    act = hi > lo + 1e-15
+    if not act.any():
+        return value, gap
+    half = 0.5 * (hi[act] - lo[act])
+    for origin, sign in ((lo[act], 1.0), (hi[act], -1.0)):
+        part, part_gap = _one_sided(model, alpha, origin, sign, half, alpha, pole=2.0 * half)
+        value[act] += part
+        gap[act] += part_gap
+    return value, gap
 
 
-def theta_point(
-    model: SpectralModel, alpha: float, lam: float, mu: float, real_symmetry: bool = False
-) -> float:
-    """Limit covariance of the scaled estimator process at one probe pair.
+def theta_point(model: SpectralModel, alpha: float, lam, mu, real_symmetry: bool = False):
+    """Limit covariance of the scaled estimator process at probe pairs.
 
+    lam and mu broadcast against each other; a float comes back for scalars.
     With real_symmetry=False this is the even-weight convention
     (4 pi / Gamma^2(1-a)) * direct integral. With real_symmetry=True the
     one-sided weight applied to a real sample gives half that constant plus a
     mirror term active when lam + mu > 2 pi; this matches simulation.
+    A gap above _RULE_TOL (relative) between the product rule and one with
+    more nodes is a NumericalError naming the pair.
     """
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
-    gsq = math.gamma(1.0 - alpha) ** 2
-    direct = _kernel_direct(model, alpha, lam, mu)
-    if not real_symmetry:
-        return 4.0 * math.pi / gsq * direct
-    mirror = _kernel_mirror(model, alpha, lam, mu)
-    return 2.0 * math.pi / gsq * (direct + mirror)
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    hi, lo = np.maximum(lam, mu), np.minimum(lam, mu)
+    value, gap = _direct(model, alpha, hi, lo)
+    scale = 4.0 * math.pi / math.gamma(1.0 - alpha) ** 2
+    if real_symmetry:
+        mirror, mirror_gap = _mirror(model, alpha, hi, lo)
+        value, gap, scale = value + mirror, gap + mirror_gap, 0.5 * scale
+    bad = gap > _RULE_TOL * np.abs(value)
+    if bad.any():
+        i = np.flatnonzero(bad.ravel())[0]
+        raise NumericalError(
+            f"limit covariance quadrature error {gap.ravel()[i]:g} at "
+            f"(lam, mu)=({hi.ravel()[i]:g}, {lo.ravel()[i]:g})"
+        )
+    out = scale * value
+    return float(out) if out.ndim == 0 else out
 
 
 def theta_diagonal(
@@ -347,13 +505,11 @@ def limit_covariance(
         raise DomainError("probe_grid must be a non-empty 1-d array")
     if np.any(probes <= 0.0) or np.any(probes > TWO_PI + 1e-12):
         raise DomainError("probes must lie in (0, 2*pi]")
-    k = probes.size
-    mat = np.empty((k, k))
-    for i in range(k):
-        mat[i, i] = theta_diagonal(model, alpha, probes[i], real_symmetry=real_symmetry)
-        for j in range(i):
-            val = theta_point(model, alpha, probes[i], probes[j], real_symmetry=real_symmetry)
-            mat[i, j] = mat[j, i] = val
+    rows, cols = np.tril_indices(probes.size)
+    mat = np.empty((probes.size, probes.size))
+    mat[rows, cols] = mat[cols, rows] = theta_point(
+        model, alpha, probes[rows], probes[cols], real_symmetry=real_symmetry
+    )
     eigvals, eigvecs = np.linalg.eigh(mat)
     clip = bool(eigvals[0] < 0.0)
     projected = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T

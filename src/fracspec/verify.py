@@ -34,6 +34,10 @@ DEFAULT_TAIL_GRID = tuple(0.5 * k for k in range(1, 9))
 #: probes of the sup-norm band (mc and confidence_band default)
 BAND_PROBES = 64
 
+#: most band probes the confidence verb accepts: the covariance has
+#: MAX_PROBES (MAX_PROBES + 1) / 2 probe pairs
+MAX_PROBES = 1024
+
 #: limit-process draws calibrating the mc band half-width u0
 MC_CALIBRATION_DRAWS = 2000
 

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -111,6 +112,19 @@ class TestPlumbing:
         out = tmp_path / "o"
         assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
         assert f"between 0 and 65537, got {size}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("num_probes", [0, -3, 5000])
+    def test_num_probes_outside_bounds_is_config_error(self, tmp_path, capsys, num_probes):
+        # 0 used to divide by zero, -3 to fail in numpy, 5000 to run for tens of minutes
+        cfg = _write(
+            tmp_path / "c.ini",
+            "[model]\nkind = constant\nc = 1\n\n"
+            f"[confidence]\nalpha = 0.25\nn = 64\nnum_probes = {num_probes}\n",
+        )
+        out = tmp_path / "o"
+        assert _run("confidence", "--config", str(cfg), "--out", str(out)) == 1
+        assert f"num_probes must be between 1 and 1024, got {num_probes}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_grid_at_ceiling_is_accepted(self, tmp_path):
@@ -244,6 +258,26 @@ class TestTruthVerb:
         assert (out / "theta.csv").exists()
 
 
+    def test_custom_grid_ar1(self, tmp_path):
+        # the AR(1) density tabulated on 4097 points; the limit covariance at
+        # (pi/2, pi/2) used to fail its quadrature error check and exit 2
+        lam = np.linspace(0.0, 2.0 * math.pi, 4097)[:2049]
+        half = 0.75 / (1.25 - np.cos(lam)) / (2.0 * math.pi)
+        rows = zip(np.linspace(0.0, 2.0 * math.pi, 4097), np.concatenate((half, half[-2::-1])))
+        text = "lambda,value\n" + "".join(f"{a:.17g},{v:.17g}\n" for a, v in rows)
+        grid_csv = _write(tmp_path / "ar1.csv", text)
+        cfg = _write(
+            tmp_path / "t.ini",
+            f"[model]\nkind = custom_grid\ngrid_csv_path = {grid_csv}\n\n[truth]\nalpha = 0.25\n",
+        )
+        out = tmp_path / "o"
+        assert _run("truth", "--config", str(cfg), "--out", str(out)) == 0
+        lines = [ln for ln in (out / "theta.csv").read_text().splitlines() if ln[:1] != "#"]
+        theta = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        assert theta.shape == (3, 3)
+        assert np.all(np.linalg.eigvalsh(theta) > 0)
+
+
 class TestMcVerb:
     def test_byte_identical_reruns(self, mc_ini, tmp_path):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
@@ -313,8 +347,8 @@ def test_console_entry_point():
 
 
 class TestImportGraph:
-    """scipy stays off the start-up path: only `mc` (kstest) and the limit
-    covariance (quad) load it. Each check runs in a fresh interpreter."""
+    """scipy stays off the start-up path: only `mc` (kstest) loads it. Each
+    check runs in a fresh interpreter."""
 
     @staticmethod
     def _python(code: str) -> subprocess.CompletedProcess:
@@ -336,12 +370,19 @@ class TestImportGraph:
             tmp_path / "est.ini",
             f"[estimate]\npath_csv = {tmp_path / 'sim' / 'path_000.csv'}\nalpha = 0.25\n",
         )
+        conf_ini = _write(
+            tmp_path / "conf.ini",
+            f"[model]\nkind = constant\nc = {CONST_C!r}\n\n[confidence]\nalpha = 0.25\n"
+            "n = 128\ncalibration_draws = 1000\nreplications = 10\nnum_probes = 16\n",
+        )
         runs = [
             [verb, "--config", str(cfg), "--out", str(tmp_path / out)]
             for verb, cfg, out in (
                 ("simulate", configs / "simulate_ar1.ini", "sim"),
                 ("estimate", est_ini, "est"),
                 ("fejer", configs / "fejer_ar1.ini", "fej"),
+                ("truth", configs / "truth_constant.ini", "tru"),
+                ("confidence", conf_ini, "conf"),
             )
         ]
         # a None entry in sys.modules makes every `import scipy...` raise ImportError
@@ -350,4 +391,18 @@ class TestImportGraph:
             f"print([main(argv) for argv in {runs!r}])"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0]", proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0]", proc.stderr
+
+    def test_no_module_imports_scipy_integrate(self):
+        # quad is only a test oracle now: the limit covariance has its own rule
+        src = Path(__file__).resolve().parents[1] / "src" / "fracspec"
+        for module in sorted(src.glob("*.py")):
+            tree = ast.parse(module.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                assert not any(n.startswith("scipy.integrate") for n in names), module.name

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracspec import DomainError, GridFunction, TWO_PI
+from fracspec import DomainError, GridFunction, NumericalError, TWO_PI
 from fracspec import specmodel
 from fracspec.specmodel import SpectralModel
 
@@ -16,6 +18,70 @@ def _custom_model() -> SpectralModel:
     lam = np.linspace(0, TWO_PI, 2049)
     vals = (2.0 + np.cos(lam)) / (4.0 * math.pi**2)  # even, positive, periodic
     return SpectralModel.custom(GridFunction(vals, periodic=True))
+
+
+def _tabulated_ar1(rho: float, points: int) -> SpectralModel:
+    """The AR(1) density on a uniform grid, mirrored so that f(lam) = f(2 pi - lam)."""
+    lam = np.linspace(0.0, TWO_PI, points)[: (points - 1) // 2 + 1]
+    half = (1.0 - rho**2) / (1.0 - 2.0 * rho * np.cos(lam) + rho**2) / TWO_PI
+    return SpectralModel.custom(GridFunction(np.concatenate((half, half[-2::-1])), periodic=True))
+
+
+CUSTOM_AR1 = _tabulated_ar1(0.5, 4097)
+
+
+def _autocov_loop(model: SpectralModel, mmax: int) -> np.ndarray:
+    """Oracle: the exact cosine integral of the piecewise-linear density, cell
+    by cell and lag by lag."""
+    lam, v = model.grid_fn.grid, model.grid_fn.values
+    a0, a1, f0, f1 = lam[:-1], lam[1:], v[:-1], v[1:]
+    slope = (f1 - f0) / (a1 - a0)
+    out = np.empty(mmax + 1)
+    out[0] = float(np.trapezoid(v, lam))
+    for m in range(1, mmax + 1):
+        s1, s0 = np.sin(m * a1), np.sin(m * a0)
+        c1, c0 = np.cos(m * a1), np.cos(m * a0)
+        out[m] = float(np.sum((f1 * s1 - f0 * s0) / m + slope * (c1 - c0) / m**2))
+    return out
+
+
+def _quad_theta(model, alpha, lam, mu, real_symmetry=False, points=()):
+    """Oracle: quad of each covariance kernel, split at `points`. The pieces at
+    a singular end take that singularity as quad's algebraic weight (QAWS);
+    the other pieces evaluate it."""
+    lam, mu = max(lam, mu), min(lam, mu)
+
+    def kernel(lo, hi, a_lo, a_hi, smooth):
+        cuts = [lo] + [p for p in points if lo < p < hi] + [hi]
+        total = 0.0
+        for s0, s1 in zip(cuts[:-1], cuts[1:]):
+            wa = a_lo if s0 == lo else 0.0
+            wb = a_hi if s1 == hi else 0.0
+
+            def integrand(nu, wa=wa, wb=wb):
+                out = float(model.density(nu)) ** 2 * smooth(nu)
+                if a_lo and not wa:
+                    out *= (nu - lo) ** a_lo
+                if a_hi and not wb:
+                    out *= (hi - nu) ** a_hi
+                return out
+
+            kw = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+            if wa or wb:
+                kw.update(weight="alg", wvar=(wa, wb))
+            total += quad(integrand, s0, s1, **kw)[0]
+        return total
+
+    if lam == mu:
+        direct = kernel(0.0, mu, 0.0, -2.0 * alpha, lambda nu: 1.0)
+    else:
+        direct = kernel(0.0, mu, 0.0, -alpha, lambda nu: (lam - nu) ** -alpha)
+    scale = 4.0 * math.pi / math.gamma(1.0 - alpha) ** 2
+    if not real_symmetry:
+        return scale * direct
+    lo, hi = TWO_PI - mu, lam
+    mirror = kernel(lo, hi, -alpha, -alpha, lambda nu: 1.0) if hi > lo + 1e-15 else 0.0
+    return 0.5 * scale * (direct + mirror)
 
 
 class TestModelValidation:
@@ -57,6 +123,16 @@ class TestAutocovariance:
                 lambda x: math.cos(m * x) * float(model.density(x)), 0, TWO_PI, limit=200
             )
             assert specmodel.autocovariance_batch(model, m)[m] == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("points", [1025, 4097])
+    @pytest.mark.parametrize("rho", [0.5, 0.95])
+    def test_fft_matches_cell_by_cell_loop(self, rho, points):
+        # lags up to 2048 wrap past the 1024 cells of the smaller grid
+        model = _tabulated_ar1(rho, points)
+        np.testing.assert_allclose(
+            specmodel.autocovariance_batch(model, 2048), _autocov_loop(model, 2048),
+            rtol=0, atol=1e-13,
+        )
 
 
 class TestSpectralFunction:
@@ -185,3 +261,97 @@ class TestLimitCovariance:
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(DomainError):
             specmodel.theta_diagonal(CONST, 0.5, math.pi)
+
+
+PAIRS = [
+    (math.pi / 2, math.pi / 2), (TWO_PI, TWO_PI), (3.0, 3.0),
+    (math.pi, math.pi / 2), (TWO_PI, 0.1), (5.0, 4.9), (6.0, 1.0), (TWO_PI, 6.0),
+]
+
+
+class TestProductRule:
+    """The limit covariance against quad, at rtol 1e-10, on and off the diagonal."""
+
+    @pytest.mark.parametrize("size", [1, 4, 12])
+    @pytest.mark.parametrize("exponent", [0.0, 0.25, 0.5, 0.98])
+    def test_gauss_jacobi_moments(self, exponent, size):
+        # exact for t^k, k < 2 size: the integral of t^(k - exponent) over [0, 1]
+        nodes, weights = specmodel._gauss_jacobi(exponent, size)
+        k = np.arange(2 * size)
+        moments = (nodes[:, None] ** k * weights[:, None]).sum(axis=0)
+        np.testing.assert_allclose(moments, 1.0 / (k + 1.0 - exponent), rtol=1e-13)
+
+    @pytest.mark.parametrize("real_symmetry", [False, True])
+    @pytest.mark.parametrize(
+        "model", [CONST, AR1, SpectralModel.ar1(0.9), SpectralModel.ar1(-0.9)],
+        ids=["constant", "ar1_0.5", "ar1_0.9", "ar1_-0.9"],
+    )
+    def test_parametric_matches_quad(self, model, real_symmetry):
+        # the AR(1) peaks sit at the ends of [0, 2 pi] or at pi; quad splits there
+        points = (math.pi,) if model.kind == "ar1" and model.rho < 0 else ()
+        lam, mu = np.array(PAIRS).T
+        val = specmodel.theta_point(model, 0.25, lam, mu, real_symmetry=real_symmetry)
+        oracle = [_quad_theta(model, 0.25, a, b, real_symmetry, points) for a, b in PAIRS]
+        np.testing.assert_allclose(val, oracle, rtol=1e-10)
+
+    @pytest.mark.parametrize("real_symmetry", [False, True])
+    def test_custom_grid_matches_per_cell_quad(self, real_symmetry):
+        # f^2 is quadratic on each cell of the 4097-point grid; quad integrates
+        # cell by cell. (pi/2, pi/2) is the pair whose quad error stopped `truth`
+        pairs = [(math.pi / 2, math.pi / 2), (TWO_PI, TWO_PI), (math.pi, 1.0), (5.0, 4.999)]
+        cells = tuple(CUSTOM_AR1.grid_fn.grid)
+        for lam, mu in pairs:
+            val = specmodel.theta_point(CUSTOM_AR1, 0.25, lam, mu, real_symmetry=real_symmetry)
+            oracle = _quad_theta(CUSTOM_AR1, 0.25, lam, mu, real_symmetry, cells)
+            assert val == pytest.approx(oracle, rel=1e-10), (lam, mu)
+
+    def test_custom_grid_is_close_to_its_parametric_density(self):
+        # the tabulated AR(1) differs from AR(1) by the interpolation error, O(h^2)
+        probes = np.array([math.pi / 2, math.pi, TWO_PI])
+        tabulated = specmodel.limit_covariance(CUSTOM_AR1, 0.25, probes).matrix
+        exact = specmodel.limit_covariance(AR1, 0.25, probes).matrix
+        np.testing.assert_allclose(tabulated, exact, rtol=1e-6)
+
+    def test_broadcasts_like_scalar_calls(self):
+        lam = np.array([[1.0], [2.0], [TWO_PI]])
+        mu = np.array([0.5, 2.0, 6.0])
+        grid = specmodel.theta_point(AR1, 0.25, lam, mu, real_symmetry=True)
+        assert grid.shape == (3, 3)
+        for i, a in enumerate(lam[:, 0]):
+            for j, b in enumerate(mu):
+                scalar = specmodel.theta_point(AR1, 0.25, a, b, real_symmetry=True)
+                assert isinstance(scalar, float)
+                assert grid[i, j] == pytest.approx(scalar, rel=1e-14)
+
+    def test_beta_sq_matches_quad(self):
+        oracle = 4.0 * math.pi * quad(lambda x: AR1.density(x) ** 2, 0.0, 2.0, epsabs=1e-14)[0]
+        assert specmodel.beta_sq(AR1, 2.0) == pytest.approx(oracle, rel=1e-12)
+
+    def test_rule_gap_is_a_numerical_error(self, monkeypatch):
+        # with two nodes the rule still integrates the constant diagonal, one
+        # Gauss-Jacobi panel, exactly; off it the gap to the check rule is an
+        # error that names the pair
+        monkeypatch.setattr(specmodel, "_RULE_NODES", 2)
+        assert specmodel.theta_point(CONST, 0.25, 3.0, 3.0) > 0
+        with pytest.raises(NumericalError, match=r"at \(lam, mu\)=\(6, 1\)"):
+            specmodel.theta_point(CONST, 0.25, [3.0, 6.0], [3.0, 1.0])
+
+    @given(
+        probes=st.lists(st.floats(0.01, TWO_PI), min_size=1, max_size=8, unique=True),
+        alpha=st.sampled_from([0.0, 0.1, 0.25, 0.45]),
+        rho=st.sampled_from([None, 0.5, 0.9, -0.9]),
+        real_symmetry=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_covariance_is_symmetric_psd_with_theta_diagonal(
+        self, probes, alpha, rho, real_symmetry
+    ):
+        model = CONST if rho is None else SpectralModel.ar1(rho)
+        probes = np.sort(probes)
+        cov = specmodel.limit_covariance(model, alpha, probes, real_symmetry=real_symmetry)
+        assert np.array_equal(cov.matrix, cov.matrix.T)
+        scale = float(np.max(np.diag(cov.matrix)))
+        assert np.linalg.eigvalsh(cov.matrix).min() >= -1e-12 * scale
+        diag = [specmodel.theta_diagonal(model, alpha, p, real_symmetry) for p in probes]
+        # the projection moves the diagonal by at most the clipped eigenvalues
+        np.testing.assert_allclose(np.diag(cov.matrix), diag, rtol=1e-9, atol=1e-12 * scale)
