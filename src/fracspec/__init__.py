@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DomainError, NumericalError, SamplingError
-from .grid import TWO_PI, GridFunction
 
 __all__ = [
     "ConfigError",
@@ -14,3 +13,12 @@ __all__ = [
     "TWO_PI",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # numpy loads with `grid`, not with the package, so the CLI can pick BLAS threading first
+    if name in ("GridFunction", "TWO_PI"):
+        from . import grid
+
+        return getattr(grid, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,11 @@ import tempfile
 from configparser import ConfigParser, Error as IniError
 from pathlib import Path
 
+# the linear algebra is small, and an idle BLAS worker spins beside the FFT loop and
+# multiplies with the --threads pool workers, which inherit this environment
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 
 from . import __version__, specmodel, verify
@@ -143,6 +148,13 @@ def _grid_points(section: dict, key: str, default: int) -> int:
     return num_points
 
 
+def _size(section: dict, key: str, default: int | None = None) -> int:
+    size = _get(section, key, int, default)
+    if size < 1:
+        raise ConfigError(f"{key} must be at least 1, got {size}")
+    return size
+
+
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
@@ -209,10 +221,10 @@ def _header(sections: dict, seed: int | None, grid_sizes: dict) -> list[str]:
 
 
 def _cmd_simulate(args, sections: dict, config_dir: Path) -> None:
-    model = _model_from(sections, config_dir)
     sim = sections.get("simulate", {})
-    n = _get(sim, "n", int)
-    count = _get(sim, "count", int, 1)
+    n = _size(sim, "n")
+    count = _size(sim, "count", 1)
+    model = _model_from(sections, config_dir)
     mean = _get(sim, "mean", float, 0.0)
     seed = args.seed if args.seed is not None else _get(sim, "seed", int, 0)
     header = _header(sections, seed, {"n": n})
@@ -276,12 +288,12 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> None:
         raise ConfigError(
             f"num_probes must be between 1 and {verify.MAX_PROBES}, got {num_probes}"
         )
+    n = _size(cf, "n")
+    reps = _size(cf, "replications", 400)
     model = _model_from(sections, config_dir)
     alpha = _get(cf, "alpha", float)
-    n = _get(cf, "n", int)
     delta = _get(cf, "delta", float, 0.05)
     draws = _get(cf, "calibration_draws", int, 5000)
-    reps = _get(cf, "replications", int, 400)
     seed = args.seed if args.seed is not None else _get(cf, "seed", int, 0)
     u0, coverage = verify.confidence_band(
         model, alpha, n, delta, draws, seed, replications=reps, num_probes=num_probes

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import fracops
 from .errors import DomainError
-from .grid import TWO_PI, GridFunction
+from .grid import TWO_PI, GridFunction, even_grid_function
 from .gsim import SamplePath
 
 #: evaluation-grid ceiling; finer grids only add quadrature cost
@@ -25,9 +25,10 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
     """Evaluate the periodogram exactly at every point of the uniform grid.
 
     The trigonometric sum is a polynomial in exp(i lam); on the uniform grid
-    it is computed by an FFT with index folding, which is exact at each
-    requested lam (no interpolation). The mean the path was simulated with
-    (`added_mean`) is subtracted first.
+    it is one real FFT with index folding, which is exact at each requested
+    lam (no interpolation); the data are real, so the upper half of the grid
+    mirrors the lower. The mean the path was simulated with (`added_mean`) is
+    subtracted first.
     """
     if num_points is None:
         num_points = default_grid_points(path.n)
@@ -36,11 +37,10 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
     n = path.n
     m = num_points - 1
     demeaned = path.values - path.added_mean
-    folded = np.bincount(np.arange(1, n + 1) % m, weights=demeaned, minlength=m)
-    transform = m * np.fft.ifft(folded)
-    vals = np.abs(transform) ** 2 / (TWO_PI * n)
-    vals = np.concatenate((vals, vals[:1]))
-    return GridFunction(vals, periodic=True)
+    # the time origin of the fold moves only the phase of the sum
+    folded = np.bincount(np.arange(n) % m, weights=demeaned, minlength=m)
+    transform = np.fft.rfft(folded)
+    return even_grid_function((transform.real**2 + transform.imag**2) / (TWO_PI * n), num_points)
 
 
 def empirical_spectral_function(j: GridFunction) -> GridFunction:

@@ -30,6 +30,16 @@ def csv_table(header: str, rows: Iterable[Sequence], comments: Sequence[str] = (
     return "\n".join(lines) + "\n"
 
 
+def even_grid_function(half: np.ndarray, num_points: int) -> "GridFunction":
+    """The periodic grid function even on the circle of m = num_points - 1
+    points, v[m - k] = v[k], from its first m // 2 + 1 values (what one real
+    FFT gives). The upper half copies the lower, so v(2 pi - lam) = v(lam)
+    holds exactly."""
+    m = num_points - 1
+    values = np.concatenate((half, half[(m - 1) // 2 : 0 : -1], half[:1]))
+    return GridFunction(values, periodic=True)
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real function sampled on a uniform grid over [0, 2*pi], endpoints included."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fracops
 from .errors import DomainError, NumericalError
-from .grid import TWO_PI, GridFunction, csv_table
+from .grid import TWO_PI, GridFunction, csv_table, even_grid_function
 
 #: resolution of the cached high-accuracy truth profiles
 TRUTH_POINTS = 65537
@@ -197,7 +197,7 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
     Evaluated through the Cesaro-weighted cosine series of the autocovariances,
     which equals the convolution of the density with the Fejer kernel. On the
     m-point circle cos(k lam) depends only on k mod m, so the coefficients are
-    folded onto m bins and the series is one exact FFT for every n.
+    folded onto m bins and the series is one exact real FFT for every n.
     """
     if int(n) < 1:
         raise DomainError(f"expected_periodogram needs n >= 1, got {n!r}")
@@ -208,10 +208,7 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
     coeff = r * (1.0 - np.arange(n) / n)
     m_circle = out_grid - 1
     folded = np.bincount(np.arange(n) % m_circle, weights=coeff, minlength=m_circle)
-    series = np.fft.ifft(folded).real * m_circle
-    vals = (2.0 * series - coeff[0]) / TWO_PI
-    vals = np.concatenate((vals, vals[:1]))
-    return GridFunction(vals, periodic=True)
+    return even_grid_function((2.0 * np.fft.rfft(folded).real - coeff[0]) / TWO_PI, out_grid)
 
 
 def beta_sq(model: SpectralModel, lam: float) -> float:

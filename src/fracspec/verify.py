@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -291,6 +290,8 @@ def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
                 )
             )
         if workers > 1 and len(block_args) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 blocks = list(pool.map(_run_block, *zip(*block_args)))
         else:

@@ -127,6 +127,32 @@ class TestPlumbing:
         assert f"num_probes must be between 1 and 1024, got {num_probes}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "verb, section, key, value",
+        [
+            ("confidence", "[confidence]\nalpha = 0.25\nn = 64\n", "replications", 0),
+            ("confidence", "[confidence]\nalpha = 0.25\nn = 64\n", "replications", -3),
+            ("confidence", "[confidence]\nalpha = 0.25\n", "n", 0),
+            ("simulate", "[simulate]\nn = 64\n", "count", -2),
+            ("simulate", "[simulate]\n", "n", 0),
+        ],
+        ids=["replications-0", "replications-neg", "confidence-n-0", "count-neg", "simulate-n-0"],
+    )
+    @pytest.mark.parametrize(
+        "model", ["kind = constant\nc = 1\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
+        ids=["constant", "unreadable-model"],
+    )
+    def test_size_below_one_is_config_error(
+        self, tmp_path, capsys, verb, section, key, value, model
+    ):
+        # these used to divide by zero, write a coverage of -0, write nothing or exit 2;
+        # the model whose grid CSV is missing shows the check runs before the model is read
+        cfg = _write(tmp_path / "s.ini", f"[model]\n{model}\n{section}{key} = {value}\n")
+        out = tmp_path / "o"
+        assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
+        assert f"{key} must be at least 1, got {value}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_grid_at_ceiling_is_accepted(self, tmp_path):
         _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
         cfg = _write(
@@ -346,15 +372,79 @@ def test_console_entry_point():
     assert __version__ in proc.stdout
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_blas_threads(**preset: str) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    return {**env, **preset}
+
+
 class TestImportGraph:
-    """scipy stays off the start-up path: only `mc` (kstest) loads it. Each
-    check runs in a fresh interpreter."""
+    """scipy stays off the start-up path: only `mc` (kstest) loads it. The CLI
+    runs BLAS on one thread unless the caller chose otherwise, and the package
+    itself loads no numpy. Each check runs in a fresh interpreter."""
 
     @staticmethod
-    def _python(code: str) -> subprocess.CompletedProcess:
+    def _python(code: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
         )
+
+    def test_package_import_loads_no_numpy(self):
+        proc = self._python(
+            "import sys, fracspec\nprint('numpy' in sys.modules)\n"
+            "from fracspec import GridFunction, TWO_PI\nprint(GridFunction.__name__, TWO_PI)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "GridFunction", repr(2 * math.pi)]
+
+    def test_cli_import_runs_one_thread(self):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads")
+        proc = self._python(
+            "import os, fracspec.cli\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))",
+            env=_env_without_blas_threads(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+
+    def test_cli_keeps_preset_blas_threads(self):
+        proc = self._python(
+            "import os, fracspec.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+            env=_env_without_blas_threads(OPENBLAS_NUM_THREADS="2"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "2"
+
+    def test_mc_outputs_identical_across_blas_threads(self, tmp_path):
+        cfg = _write(
+            tmp_path / "mc.ini",
+            "[model]\nkind = ar1\nrho = 0.5\n\n"
+            "[mc]\nalpha = 0.25\nn_list = 128\nreplications = 10\nseed = 2\n",
+        )
+        outs = [tmp_path / "b1", tmp_path / "b2"]
+        for out, threads in zip(outs, ("1", "2")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fracspec", "mc", "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, timeout=300,
+                env=_env_without_blas_threads(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_cli_import_loads_no_process_pool(self):
+        proc = self._python(
+            "import sys, fracspec.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('concurrent.futures', 'multiprocessing'))))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_cli_import_loads_no_scipy(self):
         proc = self._python(
