@@ -13,6 +13,7 @@ import sys
 import tempfile
 from configparser import ConfigParser, Error as IniError
 from pathlib import Path
+from typing import Collection, Iterable
 
 # the linear algebra is small, and an idle BLAS worker spins beside the FFT loop and
 # multiplies with the --threads pool workers, which inherit this environment
@@ -190,10 +191,20 @@ def build_mc_config(
     )
 
 
-def _write_atomic(path: Path, text: str, force: bool) -> None:
-    """Write via a temp file plus atomic rename; refuse to clobber without force."""
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
+def _write_bundle(out: Path, names: Collection[str], texts: Iterable[str], force: bool) -> None:
+    """Write one verb's output files, the k-th text (which may be produced
+    lazily) to the k-th name; without force, any existing target is refused
+    before the first write, so a refused run leaves the directory as it was."""
+    if not force:
+        for name in names:
+            if (out / name).exists():
+                raise FileExistsError(f"{out / name} exists; pass --force to overwrite")
+    for name, text in zip(names, texts):
+        _write_atomic(out / name, text)
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write via a temp file plus atomic rename."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -228,10 +239,13 @@ def _cmd_simulate(args, sections: dict, config_dir: Path) -> None:
     mean = _get(sim, "mean", float, 0.0)
     seed = args.seed if args.seed is not None else _get(sim, "seed", int, 0)
     header = _header(sections, seed, {"n": n})
-    for k in range(count):
-        path = sample_path(model, n, seed, mean=mean, stream=k)
-        text = path.to_csv_text(comments=header + [f"stream = {k}"])
-        _write_atomic(args.out / f"path_{k:03d}.csv", text, args.force)
+    texts = (
+        sample_path(model, n, seed, mean=mean, stream=k).to_csv_text(
+            comments=header + [f"stream = {k}"]
+        )
+        for k in range(count)
+    )
+    _write_bundle(args.out, [f"path_{k:03d}.csv" for k in range(count)], texts, args.force)
 
 
 def _cmd_estimate(args, sections: dict, config_dir: Path) -> None:
@@ -244,8 +258,11 @@ def _cmd_estimate(args, sections: dict, config_dir: Path) -> None:
     fa = frac_estimate(j, alpha)
     header = _header(sections, path.seed, {"n": path.n, "grid_points": num_points})
     with_alpha = header + [f"alpha = {alpha:g}"]
-    _write_atomic(args.out / "periodogram.csv", j.to_csv_text(comments=header), args.force)
-    _write_atomic(args.out / "estimate.csv", fa.to_csv_text(comments=with_alpha), args.force)
+    files = {
+        "periodogram.csv": j.to_csv_text(comments=header),
+        "estimate.csv": fa.to_csv_text(comments=with_alpha),
+    }
+    _write_bundle(args.out, files.keys(), files.values(), args.force)
 
 
 def _cmd_truth(args, sections: dict, config_dir: Path) -> None:
@@ -259,12 +276,12 @@ def _cmd_truth(args, sections: dict, config_dir: Path) -> None:
     truth = specmodel.frac_truth_profile(model, alpha, num_points)
     cov = limit_covariance(model, alpha, np.array(probes))
     with_alpha = header + [f"alpha = {alpha:g}"]
-    for name, table, comments in (
-        ("spectral_function.csv", spectral, header),
-        ("frac_derivative.csv", truth, with_alpha),
-        ("theta.csv", cov, with_alpha),
-    ):
-        _write_atomic(args.out / name, table.to_csv_text(comments=comments), args.force)
+    files = {
+        "spectral_function.csv": spectral.to_csv_text(comments=header),
+        "frac_derivative.csv": truth.to_csv_text(comments=with_alpha),
+        "theta.csv": cov.to_csv_text(comments=with_alpha),
+    }
+    _write_bundle(args.out, files.keys(), files.values(), args.force)
 
 
 def _cmd_mc(args, sections: dict, config_dir: Path) -> None:
@@ -276,9 +293,8 @@ def _cmd_mc(args, sections: dict, config_dir: Path) -> None:
         "n_list": " ".join(str(n) for n in config.n_list),
     }
     header = _header(sections, config.seed, grid_sizes)
-    _write_atomic(args.out / "report.json", report.to_json_text() + "\n", args.force)
-    for name, table in report.csv_tables(header).items():
-        _write_atomic(args.out / name, table, args.force)
+    files = {"report.json": report.to_json_text() + "\n", **report.csv_tables(header)}
+    _write_bundle(args.out, files.keys(), files.values(), args.force)
 
 
 def _cmd_confidence(args, sections: dict, config_dir: Path) -> None:
@@ -300,19 +316,21 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> None:
     )
     header = _header(sections, seed, {"n": n, "num_probes": num_probes})
     table = csv_table("n,delta,u0,coverage", [(n, delta, u0, coverage)], comments=header)
-    _write_atomic(args.out / "confidence.csv", table, args.force)
+    _write_bundle(args.out, ["confidence.csv"], [table], args.force)
 
 
 def _cmd_fejer(args, sections: dict, config_dir: Path) -> None:
-    model = _model_from(sections, config_dir)
     fj = sections.get("fejer", {})
     n_list = _get(fj, "n_list", _int_list)
     if not n_list:
         raise ConfigError("fejer n_list must contain at least one n")
+    if any(n < 1 for n in n_list):
+        raise ConfigError(f"n_list must hold positive integers, got {n_list!r}")
+    model = _model_from(sections, config_dir)
     header = _header(sections, None, {"n_list": " ".join(map(str, n_list))})
     rows = [(n, *verify._fejer_bias(model, n)) for n in n_list]
     table = csv_table("n,sup_err,bound", rows, comments=header)
-    _write_atomic(args.out / "fejer.csv", table, args.force)
+    _write_bundle(args.out, ["fejer.csv"], [table], args.force)
 
 
 _DISPATCH = {

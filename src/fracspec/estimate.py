@@ -48,11 +48,12 @@ def empirical_spectral_function(j: GridFunction) -> GridFunction:
     return fracops.frac_integral(j, 1.0)
 
 
-def frac_estimate(j: GridFunction, alpha: float) -> GridFunction:
-    """Fractional integral of order 1 - alpha applied to the periodogram."""
+def frac_estimate(j: GridFunction, alpha: float, step: int = 1) -> GridFunction:
+    """Fractional integral of order 1 - alpha applied to the periodogram, at
+    every `step`-th grid point (see fracops.frac_integral)."""
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
-    return fracops.frac_integral(j, 1.0 - alpha)
+    return fracops.frac_integral(j, 1.0 - alpha, step)
 
 
 def plugin_variance(

@@ -92,21 +92,54 @@ def _product_weights(order: float, n: int) -> tuple[np.ndarray, np.ndarray, np.n
     return a_hat, a_head, b, size
 
 
-def frac_integral(g: GridFunction, order: float) -> GridFunction:
+@lru_cache(maxsize=8)
+def _block_weights(order: float, n: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only weights of the strided evaluation, P = (n - 1) / step blocks:
+    the P x step matrix A[d, t] = a[(d + 1) step - 1 - t] of the central
+    weights, the left weights at every step-th point, and the anti-diagonal
+    index d + c of each entry of a P x P matrix."""
+    gamma = order + 1.0
+    a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, n - 1))))
+    blocks = np.ascontiguousarray(a.reshape(-1, step)[:, ::-1])
+    b = _left_weights(gamma, np.arange(step, n, step))
+    p = b.size
+    diagonal = np.add.outer(np.arange(p), np.arange(p)).ravel()
+    for arr in (blocks, b, diagonal):
+        arr.setflags(write=False)
+    return blocks, b, diagonal
+
+
+def frac_integral(g: GridFunction, order: float, step: int = 1) -> GridFunction:
     """Riemann-Liouville fractional integral of the piecewise-linear interpolant.
 
-    Returns the integral at every grid point; the value at x = 0 is 0.
+    Returns the integral at every `step`-th grid point, a grid of
+    (N - 1) / step + 1 points (`step` must divide N - 1); the value at x = 0
+    is 0. With P = (N - 1) / step output points and P^2 <= N - 1, the strided
+    values are one blocked matrix product of P x step weights with the data,
+    cheaper than the full-grid FFT convolution; otherwise the full grid is
+    computed and sliced.
     """
     if not (0.0 < order <= 1.0) or not math.isfinite(order):
         raise DomainError(f"frac_integral order must be in (0, 1], got {order!r}")
     n = g.num_points
+    if step < 1 or (n - 1) % step:
+        raise DomainError(f"frac_integral step must divide {n - 1}, got {step!r}")
     h = g.spacing
     v = g.values
+    p = (n - 1) // step
     if order == 1.0:
         # plain cumulative trapezoid; identical to the product-integration
         # weights at order 1 but free of convolution round-off
         out = np.concatenate(([0.0], np.cumsum(0.5 * h * (v[1:] + v[:-1]))))
-        return GridFunction(out)
+        return GridFunction(out[::step])
+    scale = h**order / math.gamma(order + 2.0)
+    if step > 1 and p * p <= n - 1:
+        # output k sums a[k step - 1 - i] v[1 + i] over i < k step; with
+        # i = c step + t that is sum over d + c = k - 1 of G[d, c], G = A V^T
+        blocks, b, diagonal = _block_weights(order, n, step)
+        products = blocks @ v[1:].reshape(p, step).T
+        conv = np.bincount(diagonal, weights=products.ravel(), minlength=2 * p - 1)[:p]
+        return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + conv))))
     a_hat, a_head, b, size = _product_weights(order, n)
     # full linear convolution of the central weights with v[1:]. The weights
     # must stay the first operand: complex multiply is not bitwise commutative
@@ -117,8 +150,7 @@ def frac_integral(g: GridFunction, order: float) -> GridFunction:
     # the first outputs are small and summed directly (see _DIRECT_POINTS)
     k = a_head.size
     conv[:k] = np.convolve(a_head, v[1 : k + 1])[:k]
-    scale = h**order / math.gamma(order + 2.0)
-    return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + conv))))
+    return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + conv)))[::step])
 
 
 def frac_derivative(g: GridFunction, order: float) -> GridFunction:

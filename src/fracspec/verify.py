@@ -162,14 +162,16 @@ def _truth_on_grid(model: SpectralModel, alpha: float, num_points: int) -> GridF
 
 
 def replicate(
-    model: SpectralModel, n: int, alpha: float, num_points: int, seed: int, streams: Iterable[int]
+    model: SpectralModel, n: int, alpha: float, num_points: int, seed: int,
+    streams: Iterable[int], step: int = 1,
 ) -> Iterator[np.ndarray]:
     """The replication kernel: for each stream in the order given, draw the
-    path keyed by (seed, stream) and yield the grid values of its fractional
-    estimate (path -> periodogram -> fractional integral of order 1 - alpha)."""
+    path keyed by (seed, stream) and yield the values of its fractional
+    estimate (path -> periodogram -> fractional integral of order 1 - alpha)
+    at every `step`-th grid point."""
     for stream in streams:
         path = sample_path(model, n, seed, stream=stream)
-        yield frac_estimate(periodogram(path, num_points), alpha).values
+        yield frac_estimate(periodogram(path, num_points), alpha, step).values
 
 
 def _band_probes(num_probes: int) -> np.ndarray:
@@ -352,19 +354,26 @@ def confidence_band(
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     if calibration_draws < 1000:
         raise DomainError(f"calibration_draws must be >= 1000, got {calibration_draws!r}")
+    if replications < 1:
+        raise DomainError(f"replications must be at least 1, got {replications!r}")
+    if not 1 <= num_probes <= MAX_PROBES:
+        raise DomainError(f"num_probes must be between 1 and {MAX_PROBES}, got {num_probes!r}")
     probes = _band_probes(num_probes)
     u0 = _band_half_width(
         model, alpha, num_probes, real_symmetry, seed, calibration_draws, delta
     )
 
     num_points = default_grid_points(n)
-    lam = np.linspace(0.0, TWO_PI, num_points)
+    # the estimate is needed only at the probes: when they fall on every
+    # step-th grid point, compute it there alone
+    step = (num_points - 1) // num_probes if (num_points - 1) % num_probes == 0 else 1
+    lam = np.linspace(0.0, TWO_PI, (num_points - 1) // step + 1)
     truth = _truth_on_grid(model, alpha, num_points)
-    truth_probes = np.interp(probes, lam, truth.values)
+    truth_probes = np.interp(probes, lam, truth.values[::step])
     hit = 0
     half_width = u0 / math.sqrt(n)
     streams = range(_STREAM_COVERAGE, _STREAM_COVERAGE + replications)
-    for values in replicate(model, n, alpha, num_points, seed, streams):
+    for values in replicate(model, n, alpha, num_points, seed, streams, step):
         dev = np.max(np.abs(np.interp(probes, lam, values) - truth_probes))
         hit += dev <= half_width
     return u0, hit / replications

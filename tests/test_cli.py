@@ -153,6 +153,46 @@ class TestPlumbing:
         assert f"{key} must be at least 1, got {value}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("n_list", ["0", "-3 8"])
+    @pytest.mark.parametrize(
+        "model", ["kind = ar1\nrho = 0.5\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
+        ids=["ar1", "unreadable-model"],
+    )
+    def test_fejer_n_list_below_one_is_config_error(self, tmp_path, capsys, n_list, model):
+        # 0 used to name an internal function, -3 to fail in np.linspace
+        cfg = _write(tmp_path / "f.ini", f"[model]\n{model}\n[fejer]\nn_list = {n_list}\n")
+        out = tmp_path / "o"
+        assert _run("fejer", "--config", str(cfg), "--out", str(out)) == 1
+        assert "n_list must hold positive integers" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "verb, body, present",
+        [
+            ("mc", None, "cov.csv"),
+            ("truth", "[model]\nkind = constant\nc = 1\n\n[truth]\nalpha = 0.25\n"
+                      "num_points = 257\n", "theta.csv"),
+            ("estimate", "[estimate]\npath_csv = path.csv\nalpha = 0.25\nnum_points = 17\n",
+             "estimate.csv"),
+            ("simulate", None, "path_001.csv"),
+        ],
+        ids=["mc", "truth", "estimate", "simulate"],
+    )
+    def test_existing_target_leaves_directory_unchanged(
+        self, tmp_path, capsys, mc_ini, sim_ini, verb, body, present
+    ):
+        # the one file present is the verb's last; the others used to be
+        # written before the refusal
+        _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
+        cfg = {"mc": mc_ini, "simulate": sim_ini}.get(verb) or _write(tmp_path / "v.ini", body)
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / present, "keep\n")
+        assert _run(verb, "--config", str(cfg), "--out", str(out)) == 3
+        assert f"{present} exists; pass --force" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [present]
+        assert (out / present).read_text() == "keep\n"
+
     def test_grid_at_ceiling_is_accepted(self, tmp_path):
         _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
         cfg = _write(

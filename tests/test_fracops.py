@@ -127,6 +127,38 @@ class TestFracIntegral:
         assert np.all(np.abs(out - (t0 + t1)) <= 1e-10 * (np.abs(t0) + np.abs(t1)))
 
 
+class TestStridedIntegral:
+    @given(
+        num_out=st.integers(1, 64),
+        step=st.integers(1, 64),
+        order=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(num_out=64, step=64, order=0.75, seed=0)  # P^2 = N - 1: blocked product
+    @example(num_out=65, step=64, order=0.75, seed=0)  # P^2 > N - 1: FFT and slice
+    def test_matches_full_grid_slice(self, num_out, step, order, seed):
+        # P = num_out outputs past x = 0 on N = P step + 1 points; the blocked
+        # product serves P <= step (P^2 <= N - 1), the FFT path the rest.
+        # Positive data with v[0] != 0, like periodogram ordinates
+        v = 0.1 + np.random.default_rng(seed).exponential(size=num_out * step + 1)
+        g = GridFunction(v)
+        out = fracops.frac_integral(g, order, step)
+        assert out.num_points == num_out + 1
+        full = fracops.frac_integral(g, order).values[::step]
+        np.testing.assert_allclose(out.values, full, rtol=1e-12)
+
+    def test_order_one_slices_the_trapezoid(self):
+        g = GridFunction(np.random.default_rng(1).exponential(size=257))
+        out = fracops.frac_integral(g, 1.0, 16)
+        assert np.array_equal(out.values, fracops.frac_integral(g, 1.0).values[::16])
+
+    @pytest.mark.parametrize("step", [0, -4, 3, 512])
+    def test_rejects_step_not_dividing_the_grid(self, step):
+        with pytest.raises(DomainError, match="step must divide 256"):
+            fracops.frac_integral(GridFunction(np.ones(257)), 0.5, step)
+
+
 def _uncached_frac_integral(v: np.ndarray, order: float) -> np.ndarray:
     """Oracle: the product-integration sum with the weights rebuilt on every
     call and both spectra multiplied as temporaries, weights first; the first

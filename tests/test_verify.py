@@ -128,6 +128,58 @@ class TestConfidenceBand:
         with pytest.raises(DomainError):
             verify.confidence_band(CONST, 0.25, 64, 0.05, 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"replications": 0}, "replications must be at least 1, got 0"),
+            ({"num_probes": 0}, "num_probes must be between 1 and 1024, got 0"),
+            ({"num_probes": -3}, "num_probes must be between 1 and 1024, got -3"),
+            ({"num_probes": verify.MAX_PROBES + 1}, "between 1 and 1024, got 1025"),
+        ],
+    )
+    def test_rejects_sizes_out_of_bounds(self, kw, message):
+        with pytest.raises(DomainError, match=message):
+            verify.confidence_band(CONST, 0.25, 64, 0.05, 1000, seed=0, **kw)
+
+    @pytest.mark.parametrize("num_probes, step", [(64, 64), (48, 1)])
+    def test_matches_full_grid_oracle(self, monkeypatch, num_probes, step):
+        # n = 256 gives 4097 grid points: 64 probes fall on every 64th point
+        # (the strided estimate), 48 probes do not (the full grid); delta = 0.5
+        # keeps the coverage (0.825 and 0.8) away from 1
+        model, alpha, n, delta, draws, seed, reps = AR1, 0.25, 256, 0.5, 1000, 4, 40
+        steps = []
+        frac_integral = verify.fracops.frac_integral
+
+        def spy(g, order, step=1):
+            steps.append(step)
+            return frac_integral(g, order, step)
+
+        monkeypatch.setattr(verify.fracops, "frac_integral", spy)
+        got = verify.confidence_band(
+            model, alpha, n, delta, draws, seed, replications=reps, num_probes=num_probes
+        )
+        assert steps[-reps:] == [step] * reps
+        monkeypatch.undo()
+        assert got == _full_grid_band(model, alpha, n, delta, draws, seed, reps, num_probes)
+
+
+def _full_grid_band(model, alpha, n, delta, draws, seed, reps, num_probes):
+    """Oracle: calibrate u0 on the probes, then count the replications whose
+    full-grid estimate, interpolated at the probes, stays within u0 / sqrt(n)
+    of the interpolated truth."""
+    probes = np.linspace(TWO_PI / num_probes, TWO_PI, num_probes)
+    cov = specmodel.limit_covariance(model, alpha, probes)
+    sims = gsim.sample_limit_process(cov, seed + verify._STREAM_CALIBRATION, draws)
+    u0 = float(np.quantile(np.max(np.abs(sims), axis=0), 1.0 - delta))
+    num_points = estimate.default_grid_points(n)
+    truth = specmodel.frac_truth_profile(model, alpha, num_points).interp(probes)
+    hits = 0
+    for r in range(reps):
+        path = gsim.sample_path(model, n, seed, stream=verify._STREAM_COVERAGE + r)
+        est = estimate.frac_estimate(estimate.periodogram(path, num_points), alpha)
+        hits += np.max(np.abs(est.interp(probes) - truth)) <= u0 / np.sqrt(n)
+    return u0, hits / reps
+
 
 def test_csv_table_formats_ints_and_floats():
     rows = [(3, 0.1, np.float64(2.0) / 3.0), (4, 1.0, "censored")]
