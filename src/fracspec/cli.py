@@ -13,7 +13,7 @@ import sys
 import tempfile
 from configparser import ConfigParser, Error as IniError
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Iterable, Iterator, Sequence
 
 # the linear algebra is small, and an idle BLAS worker spins beside the FFT loop and
 # multiplies with the --threads pool workers, which inherit this environment
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, specmodel, verify
 from .errors import ConfigError, DomainError, NumericalError
-from .estimate import MAX_GRID_POINTS, default_grid_points, frac_estimate, periodogram
+from .estimate import MAX_GRID_POINTS, MAX_N, default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, csv_table
 from .gsim import SamplePath, sample_path
 from .specmodel import SpectralModel, limit_covariance
@@ -146,18 +146,37 @@ def _grid_points(section: dict, key: str, default: int) -> int:
     num_points = _get(section, key, int, default)
     if not 0 <= num_points <= MAX_GRID_POINTS:
         raise ConfigError(f"{key} must be between 0 and {MAX_GRID_POINTS}, got {num_points}")
+    # 0 asks for the automatic grid of a verb whose default is 0; a grid has 2 points or more
+    if num_points == 1 or (num_points == 0 and default):
+        raise ConfigError(f"{key} must be at least 2, got {num_points}")
     return num_points
 
 
-def _size(section: dict, key: str, default: int | None = None) -> int:
+def _size(section: dict, key: str, default: int | None = None, most: float = math.inf) -> int:
     size = _get(section, key, int, default)
     if size < 1:
         raise ConfigError(f"{key} must be at least 1, got {size}")
+    if size > most:
+        raise ConfigError(f"{key} must be at most {most}, got {size}")
     return size
+
+
+def _alpha(section: dict) -> float:
+    alpha = _get(section, "alpha", float)
+    if not 0.0 <= alpha < 0.5:
+        raise ConfigError(f"alpha must lie in [0, 1/2), got {alpha!r}")
+    return alpha
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+def _n_list(section: dict) -> tuple[int, ...]:
+    n_list = _get(section, "n_list", _int_list)
+    if not n_list or not all(1 <= n <= MAX_N for n in n_list):
+        raise ConfigError(f"n_list must hold positive integers up to {MAX_N}, got {n_list!r}")
+    return n_list
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -175,12 +194,13 @@ def build_mc_config(
 ) -> verify.McConfig:
     mc = sections.get("mc", {})
     grid_points = _grid_points(mc, "grid_points", 0) or None
+    n_list = _n_list(mc)
     model = _model_from(sections, config_dir)
     seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
     return verify.McConfig(
         model=model,
         alpha=_get(mc, "alpha", float),
-        n_list=_get(mc, "n_list", _int_list),
+        n_list=n_list,
         replications=_get(mc, "replications", int),
         probe_lambdas=_get(mc, "probe_lambdas", _float_list, (math.pi / 2, math.pi)),
         seed=seed,
@@ -191,30 +211,30 @@ def build_mc_config(
     )
 
 
-def _write_bundle(out: Path, names: Collection[str], texts: Iterable[str], force: bool) -> None:
-    """Write one verb's output files, the k-th text (which may be produced
-    lazily) to the k-th name; without force, any existing target is refused
-    before the first write, so a refused run leaves the directory as it was."""
+def _write_bundle(out: Path, names: Sequence[str], texts: Iterable[str], force: bool) -> None:
+    """Write the k-th text to the k-th name in out. Without force, an existing
+    target is refused before the first text is pulled, so lazy texts are not
+    computed for a refused run. The texts are staged in temp files, renamed in
+    only when all are written, and removed on any failure."""
     if not force:
         for name in names:
             if (out / name).exists():
                 raise FileExistsError(f"{out / name} exists; pass --force to overwrite")
-    for name, text in zip(names, texts):
-        _write_atomic(out / name, text)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write via a temp file plus atomic rename."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    staged = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for name, text in zip(names, texts):
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.", suffix=".tmp")
+            staged.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for name, tmp in zip(names, staged):
+            os.replace(tmp, out / name)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp in staged:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise
 
 
@@ -231,9 +251,9 @@ def _header(sections: dict, seed: int | None, grid_sizes: dict) -> list[str]:
     return lines
 
 
-def _cmd_simulate(args, sections: dict, config_dir: Path) -> None:
+def _cmd_simulate(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     sim = sections.get("simulate", {})
-    n = _size(sim, "n")
+    n = _size(sim, "n", most=MAX_N)
     count = _size(sim, "count", 1)
     model = _model_from(sections, config_dir)
     mean = _get(sim, "mean", float, 0.0)
@@ -245,94 +265,102 @@ def _cmd_simulate(args, sections: dict, config_dir: Path) -> None:
         )
         for k in range(count)
     )
-    _write_bundle(args.out, [f"path_{k:03d}.csv" for k in range(count)], texts, args.force)
+    return [f"path_{k:03d}.csv" for k in range(count)], texts
 
 
-def _cmd_estimate(args, sections: dict, config_dir: Path) -> None:
+def _cmd_estimate(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     est = sections.get("estimate", {})
-    alpha = _get(est, "alpha", float)
+    alpha = _alpha(est)
     num_points = _grid_points(est, "num_points", 0)
     path = SamplePath.from_csv(config_dir / _get(est, "path_csv", str))
     num_points = num_points or default_grid_points(path.n)
-    j = periodogram(path, num_points)
-    fa = frac_estimate(j, alpha)
     header = _header(sections, path.seed, {"n": path.n, "grid_points": num_points})
-    with_alpha = header + [f"alpha = {alpha:g}"]
-    files = {
-        "periodogram.csv": j.to_csv_text(comments=header),
-        "estimate.csv": fa.to_csv_text(comments=with_alpha),
-    }
-    _write_bundle(args.out, files.keys(), files.values(), args.force)
+
+    def texts() -> Iterator[str]:
+        j = periodogram(path, num_points)
+        yield j.to_csv_text(comments=header)
+        yield frac_estimate(j, alpha).to_csv_text(comments=header + [f"alpha = {alpha:g}"])
+
+    return ["periodogram.csv", "estimate.csv"], texts()
 
 
-def _cmd_truth(args, sections: dict, config_dir: Path) -> None:
+def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     tr = sections.get("truth", {})
     num_points = _grid_points(tr, "num_points", 4097)
     model = _model_from(sections, config_dir)
-    alpha = _get(tr, "alpha", float)
+    alpha = _alpha(tr)
     probes = _get(tr, "probe_lambdas", _float_list, (math.pi / 2, math.pi, TWO_PI))
     header = _header(sections, None, {"grid_points": num_points})
-    spectral = specmodel.spectral_profile(model, num_points)
-    truth = specmodel.frac_truth_profile(model, alpha, num_points)
-    cov = limit_covariance(model, alpha, np.array(probes))
     with_alpha = header + [f"alpha = {alpha:g}"]
-    files = {
-        "spectral_function.csv": spectral.to_csv_text(comments=header),
-        "frac_derivative.csv": truth.to_csv_text(comments=with_alpha),
-        "theta.csv": cov.to_csv_text(comments=with_alpha),
-    }
-    _write_bundle(args.out, files.keys(), files.values(), args.force)
+
+    def texts() -> Iterator[str]:
+        yield specmodel.spectral_profile(model, num_points).to_csv_text(comments=header)
+        truth = specmodel.frac_truth_profile(model, alpha, num_points)
+        yield truth.to_csv_text(comments=with_alpha)
+        yield limit_covariance(model, alpha, np.array(probes)).to_csv_text(comments=with_alpha)
+
+    return ["spectral_function.csv", "frac_derivative.csv", "theta.csv"], texts()
 
 
-def _cmd_mc(args, sections: dict, config_dir: Path) -> None:
+def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     config = build_mc_config(sections, config_dir, args.seed)
     threads = _resolve_threads(args.threads)
-    report = verify.run_monte_carlo(config, threads=threads)
     grid_sizes = {
         "grid_points": config.grid_points or "auto",
         "n_list": " ".join(str(n) for n in config.n_list),
     }
     header = _header(sections, config.seed, grid_sizes)
-    files = {"report.json": report.to_json_text() + "\n", **report.csv_tables(header)}
-    _write_bundle(args.out, files.keys(), files.values(), args.force)
+
+    def texts() -> Iterator[str]:
+        report = verify.run_monte_carlo(config, threads=threads)
+        yield report.to_json_text() + "\n"
+        yield from report.csv_tables(header).values()
+
+    return ["report.json", *(name for name, _ in verify.MC_TABLES)], texts()
 
 
-def _cmd_confidence(args, sections: dict, config_dir: Path) -> None:
+def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     cf = sections.get("confidence", {})
     num_probes = _get(cf, "num_probes", int, verify.BAND_PROBES)
     if not 1 <= num_probes <= verify.MAX_PROBES:
         raise ConfigError(
             f"num_probes must be between 1 and {verify.MAX_PROBES}, got {num_probes}"
         )
-    n = _size(cf, "n")
+    n = _size(cf, "n", most=MAX_N)
     reps = _size(cf, "replications", 400)
     model = _model_from(sections, config_dir)
-    alpha = _get(cf, "alpha", float)
+    alpha = _alpha(cf)
     delta = _get(cf, "delta", float, 0.05)
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(f"delta must lie in (0, 1), got {delta!r}")
     draws = _get(cf, "calibration_draws", int, 5000)
+    if draws < 1000:
+        raise ConfigError(f"calibration_draws must be >= 1000, got {draws!r}")
     seed = args.seed if args.seed is not None else _get(cf, "seed", int, 0)
-    u0, coverage = verify.confidence_band(
-        model, alpha, n, delta, draws, seed, replications=reps, num_probes=num_probes
-    )
     header = _header(sections, seed, {"n": n, "num_probes": num_probes})
-    table = csv_table("n,delta,u0,coverage", [(n, delta, u0, coverage)], comments=header)
-    _write_bundle(args.out, ["confidence.csv"], [table], args.force)
+
+    def texts() -> Iterator[str]:
+        u0, coverage = verify.confidence_band(
+            model, alpha, n, delta, draws, seed, replications=reps, num_probes=num_probes
+        )
+        yield csv_table("n,delta,u0,coverage", [(n, delta, u0, coverage)], comments=header)
+
+    return ["confidence.csv"], texts()
 
 
-def _cmd_fejer(args, sections: dict, config_dir: Path) -> None:
-    fj = sections.get("fejer", {})
-    n_list = _get(fj, "n_list", _int_list)
-    if not n_list:
-        raise ConfigError("fejer n_list must contain at least one n")
-    if any(n < 1 for n in n_list):
-        raise ConfigError(f"n_list must hold positive integers, got {n_list!r}")
+def _cmd_fejer(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
+    n_list = _n_list(sections.get("fejer", {}))
     model = _model_from(sections, config_dir)
     header = _header(sections, None, {"n_list": " ".join(map(str, n_list))})
-    rows = [(n, *verify._fejer_bias(model, n)) for n in n_list]
-    table = csv_table("n,sup_err,bound", rows, comments=header)
-    _write_bundle(args.out, ["fejer.csv"], [table], args.force)
+
+    def texts() -> Iterator[str]:
+        rows = [(n, *verify._fejer_bias(model, n)) for n in n_list]
+        yield csv_table("n,sup_err,bound", rows, comments=header)
+
+    return ["fejer.csv"], texts()
 
 
+#: each verb reads and checks its config, then returns its output names and lazy texts
 _DISPATCH = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
@@ -348,7 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sections = _read_config(args.config, args.verb)
         args.out.mkdir(parents=True, exist_ok=True)
-        _DISPATCH[args.verb](args, sections, args.config.parent.resolve())
+        names, texts = _DISPATCH[args.verb](args, sections, args.config.parent.resolve())
+        _write_bundle(args.out, names, texts, args.force)
     except (DomainError, ConfigError) as exc:
         print(f"fracspec: error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN

@@ -15,6 +15,9 @@ from .gsim import SamplePath
 #: evaluation-grid ceiling; finer grids only add quadrature cost
 MAX_GRID_POINTS = 65537
 
+#: path-length ceiling of the CLI: at MAX_N `fejer` already allocates 53 MB grids
+MAX_N = 2**20
+
 
 def default_grid_points(n: int) -> int:
     """Evaluation grid fine enough for the downstream fractional quadrature."""
@@ -56,22 +59,18 @@ def frac_estimate(j: GridFunction, alpha: float, step: int = 1) -> GridFunction:
     return fracops.frac_integral(j, 1.0 - alpha, step)
 
 
-def plugin_variance(
-    j: GridFunction, alpha: float, lam: float, bias_correction: float = 0.5
-) -> float:
+def plugin_variance(j: GridFunction, alpha: float, lam: float) -> float:
     """Plug-in estimate of the limit variance at lam.
 
     The limit variance is 4 pi Gamma(1-2a) / Gamma^2(1-a) * I^(1-2a)[f^2](lam).
-    The raw statistic puts the squared periodogram in place of f^2; that
-    overshoots by about 2 for Gaussian data, so bias_correction defaults to 1/2.
+    The statistic puts half the squared periodogram in place of f^2: for
+    Gaussian data J is about f times an exponential variable, so E J^2 = 2 f^2.
     """
     if not (0.0 < alpha < 0.5):
         raise DomainError(f"alpha must lie in (0, 1/2), got {alpha!r}")
     if not (0.0 < lam <= TWO_PI + 1e-12):
         raise DomainError(f"lambda must lie in (0, 2*pi], got {lam!r}")
-    if not (bias_correction > 0.0):
-        raise DomainError(f"bias_correction must be positive, got {bias_correction!r}")
     squared = GridFunction(j.values**2, periodic=True)
     integral = fracops.frac_integral(squared, 1.0 - 2.0 * alpha).interp(min(lam, TWO_PI))
     scale = 4.0 * math.pi * math.gamma(1.0 - 2.0 * alpha) / math.gamma(1.0 - alpha) ** 2
-    return bias_correction * scale * float(integral)
+    return 0.5 * scale * float(integral)

@@ -27,7 +27,6 @@ _SERIES_TERMS = 9
 _DIRECT_POINTS = 64
 
 
-@lru_cache(maxsize=64)
 def _fft_length(target: int) -> int:
     """Smallest 2^a 3^b 5^c >= target, the length scipy.fft.next_fast_len(target, True) picks."""
     odd = (3**i * 5**j for i in range(target.bit_length()) for j in range(target.bit_length()))

@@ -20,7 +20,7 @@ from . import fracops
 from .errors import DomainError, NumericalError
 from .grid import TWO_PI, GridFunction, csv_table, even_grid_function
 
-#: resolution of the cached high-accuracy truth profiles
+#: resolution of the high-accuracy truth profiles
 TRUTH_POINTS = 65537
 
 #: Gauss nodes per panel of the limit-covariance product rule, and of the
@@ -153,19 +153,13 @@ def _autocov_batch_custom(model: SpectralModel, mmax: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
 def spectral_profile(model: SpectralModel, num_points: int) -> GridFunction:
-    """F on a uniform grid, by cumulative trapezoid of a fine density grid."""
-    dens = model.density_grid(max(num_points, TRUTH_POINTS))
-    integ = fracops.frac_integral(dens, 1.0)
-    if integ.num_points == num_points:
-        return integ
-    return GridFunction(integ.interp(np.linspace(0.0, TWO_PI, num_points)))
+    """F on a uniform grid: the fractional derivative of order 0."""
+    return frac_truth_profile(model, 0.0, num_points)
 
 
-@lru_cache(maxsize=64)
 def frac_truth_profile(model: SpectralModel, alpha: float, num_points: int) -> GridFunction:
-    """F^(alpha) on a uniform grid via high-resolution product integration."""
+    """F^(alpha) on a uniform grid via high-resolution product integration; exact if constant."""
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
     if model.kind == "constant":
@@ -472,20 +466,6 @@ def theta_point(model: SpectralModel, alpha: float, lam, mu, real_symmetry: bool
         )
     out = scale * value
     return float(out) if out.ndim == 0 else out
-
-
-def theta_diagonal(
-    model: SpectralModel, alpha: float, lam: float, real_symmetry: bool = False
-) -> float:
-    """Limit variance at lam; constant densities use the closed form."""
-    if not (0.0 <= alpha < 0.5):
-        raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
-    if model.kind == "constant" and not real_symmetry:
-        if alpha == 0.0:
-            return beta_sq(model, lam)
-        gsq = math.gamma(1.0 - alpha) ** 2
-        return 4.0 * math.pi / gsq * model.c**2 * lam ** (1.0 - 2.0 * alpha) / (1.0 - 2.0 * alpha)
-    return theta_point(model, alpha, lam, lam, real_symmetry=real_symmetry)
 
 
 def limit_covariance(

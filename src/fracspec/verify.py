@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -17,7 +16,7 @@ from .errors import DomainError
 from .estimate import default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, GridFunction, csv_table
 from .gsim import sample_limit_process, sample_path
-from .specmodel import SpectralModel, limit_covariance, theta_diagonal
+from .specmodel import SpectralModel, limit_covariance, theta_point
 
 #: stream-index offsets keeping replication phases disjoint
 _STREAM_MC = 1 << 40
@@ -39,6 +38,16 @@ MAX_PROBES = 1024
 
 #: limit-process draws calibrating the mc band half-width u0
 MC_CALIBRATION_DRAWS = 2000
+
+#: (file name, CSV header) of each table of the mc bundle, in writing order
+MC_TABLES = (
+    ("bias.csv", "n,lambda,bias"),
+    ("cov.csv", "n,lambda,mu,emp,theory,rel_err"),
+    ("normality.csv", "n,lambda,ks,p"),
+    ("tails.csv", "n,u,w0,w"),
+    ("holder.csv", "n,h,q95_ratio"),
+    ("confidence.csv", "n,delta,u0,coverage"),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +143,11 @@ class McReport:
             (n, u, w0, "censored" if censored else w)
             for (n, u, w0, w, censored) in self.tail_rows
         ]
-        return {
-            "bias.csv": csv_table("n,lambda,bias", self.bias_rows, comments),
-            "cov.csv": csv_table("n,lambda,mu,emp,theory,rel_err", self.cov_rows, comments),
-            "normality.csv": csv_table("n,lambda,ks,p", self.normality_rows, comments),
-            "tails.csv": csv_table("n,u,w0,w", tails, comments),
-            "holder.csv": csv_table("n,h,q95_ratio", self.holder_rows, comments),
-            "confidence.csv": csv_table("n,delta,u0,coverage", self.confidence_rows, comments),
-        }
+        rows = (self.bias_rows, self.cov_rows, self.normality_rows, tails, self.holder_rows,
+                self.confidence_rows)
+        return {name: csv_table(head, r, comments) for (name, head), r in zip(MC_TABLES, rows)}
 
 
-@lru_cache(maxsize=64)
 def expected_estimate(
     model: SpectralModel, n: int, alpha: float, num_points: int
 ) -> GridFunction:
@@ -152,13 +155,6 @@ def expected_estimate(
     Fejer-smoothed density."""
     smoothed = specmodel.expected_periodogram(model, n, num_points)
     return fracops.frac_integral(smoothed, 1.0 - alpha)
-
-
-@lru_cache(maxsize=64)
-def _truth_on_grid(model: SpectralModel, alpha: float, num_points: int) -> GridFunction:
-    if alpha == 0.0:
-        return specmodel.spectral_profile(model, num_points)
-    return specmodel.frac_truth_profile(model, alpha, num_points)
 
 
 def replicate(
@@ -178,20 +174,13 @@ def _band_probes(num_probes: int) -> np.ndarray:
     return np.linspace(TWO_PI / num_probes, TWO_PI, num_probes)
 
 
-@lru_cache(maxsize=16)
-def _cached_band_cov(
-    model: SpectralModel, alpha: float, num_probes: int, real_symmetry: bool
-):
-    return limit_covariance(model, alpha, _band_probes(num_probes), real_symmetry=real_symmetry)
-
-
 def _band_half_width(
     model: SpectralModel, alpha: float, num_probes: int, real_symmetry: bool,
     seed: int, draws: int, delta: float,
 ) -> float:
     """u0: the (1 - delta) quantile of the sup over the band probes of |limit
     process|, from `draws` simulated limit-process vectors."""
-    cov = _cached_band_cov(model, alpha, num_probes, real_symmetry)
+    cov = limit_covariance(model, alpha, _band_probes(num_probes), real_symmetry=real_symmetry)
     sims = sample_limit_process(cov, seed + _STREAM_CALIBRATION, draws)
     return float(np.quantile(np.max(np.abs(sims), axis=0), 1.0 - delta))
 
@@ -278,7 +267,7 @@ def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
     for n_idx, n in enumerate(config.n_list):
         num_points = config.grid_points or default_grid_points(n)
         mean_fn = expected_estimate(model, n, alpha, num_points)
-        truth_fn = _truth_on_grid(model, alpha, num_points)
+        truth_fn = specmodel.frac_truth_profile(model, alpha, num_points)
         stream_base = (n_idx + 1) * _STREAM_MC
         block_args = []
         workers = max(1, int(threads))
@@ -316,7 +305,7 @@ def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
                 report.cov_rows.append((n, li, config.probe_lambdas[j], emp, theory, rel))
 
         for i, p in enumerate(config.probe_lambdas):
-            sigma = math.sqrt(theta_diagonal(model, alpha, p))
+            sigma = math.sqrt(theta_point(model, alpha, p, p))
             ks, pval = stats.kstest(agg["probe_centered"][:, i] / sigma, "norm")
             report.normality_rows.append((n, p, float(ks), float(pval)))
 
@@ -368,7 +357,7 @@ def confidence_band(
     # step-th grid point, compute it there alone
     step = (num_points - 1) // num_probes if (num_points - 1) % num_probes == 0 else 1
     lam = np.linspace(0.0, TWO_PI, (num_points - 1) // step + 1)
-    truth = _truth_on_grid(model, alpha, num_points)
+    truth = specmodel.frac_truth_profile(model, alpha, num_points)
     truth_probes = np.interp(probes, lam, truth.values[::step])
     hit = 0
     half_width = u0 / math.sqrt(n)

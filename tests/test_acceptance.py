@@ -117,7 +117,7 @@ def test_criterion_03_estimator_reduction():
 
 
 def test_criterion_04_limit_variance_closed_form():
-    val = specmodel.theta_diagonal(CONST, 0.25, PI)
+    val = specmodel.theta_point(CONST, 0.25, PI, PI)
     exact = 1.0 / (math.gamma(0.75) ** 2 * math.gamma(1.5))
     rel = abs(val - exact) / exact
     _check(4, "limit variance matches Gamma closed form", rel <= 1e-4, f"rel={rel:.2e}")
@@ -126,7 +126,7 @@ def test_criterion_04_limit_variance_closed_form():
 def test_criterion_05_mc_variance_convergence(run_var_const):
     n, a_vals, _ = run_var_const
     cov = n * np.cov(a_vals.T)
-    var_target = specmodel.theta_diagonal(CONST, 0.25, PI)
+    var_target = specmodel.theta_point(CONST, 0.25, PI, PI)
     cross_target = specmodel.theta_point(CONST, 0.25, PI / 2, PI)
     var_rel = abs(cov[1, 1] - var_target) / var_target
     cross_rel = abs(cov[0, 1] - cross_target) / cross_target
@@ -150,7 +150,7 @@ def test_criterion_06_alpha_zero_variance(run_var_const):
 
 def test_criterion_07_normality(run_centered_const):
     zeta_pi, _, _ = run_centered_const
-    sigma = math.sqrt(specmodel.theta_diagonal(CONST, 0.25, PI))
+    sigma = math.sqrt(specmodel.theta_point(CONST, 0.25, PI, PI))
     _, p = stats.kstest(zeta_pi / sigma, "norm")
     _check(7, "KS normality p >= 0.01 for standardized process at pi", p >= 0.01, f"p={p:.4f}")
 

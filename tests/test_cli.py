@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspec import GridFunction, __version__
+from fracspec import GridFunction, __version__, cli, specmodel, verify
 from fracspec.cli import main
 
 CONST_C = 1.0 / (2.0 * math.pi)
@@ -167,22 +167,31 @@ class TestPlumbing:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "verb, body, present",
+        "verb, body, present, compute",
         [
-            ("mc", None, "cov.csv"),
+            ("mc", None, "cov.csv", (verify, "run_monte_carlo")),
             ("truth", "[model]\nkind = constant\nc = 1\n\n[truth]\nalpha = 0.25\n"
-                      "num_points = 257\n", "theta.csv"),
+                      "num_points = 257\n", "theta.csv", (specmodel, "spectral_profile")),
             ("estimate", "[estimate]\npath_csv = path.csv\nalpha = 0.25\nnum_points = 17\n",
-             "estimate.csv"),
-            ("simulate", None, "path_001.csv"),
+             "estimate.csv", (cli, "periodogram")),
+            ("simulate", None, "path_001.csv", (cli, "sample_path")),
+            ("confidence", "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.25\n"
+                           "n = 64\n", "confidence.csv", (verify, "confidence_band")),
+            ("fejer", "[model]\nkind = ar1\nrho = 0.5\n\n[fejer]\nn_list = 64\n",
+             "fejer.csv", (verify, "_fejer_bias")),
         ],
-        ids=["mc", "truth", "estimate", "simulate"],
+        ids=["mc", "truth", "estimate", "simulate", "confidence", "fejer"],
     )
     def test_existing_target_leaves_directory_unchanged(
-        self, tmp_path, capsys, mc_ini, sim_ini, verb, body, present
+        self, tmp_path, capsys, monkeypatch, mc_ini, sim_ini, verb, body, present, compute
     ):
         # the one file present is the verb's last; the others used to be
-        # written before the refusal
+        # written before the refusal, and the verb's first computation used
+        # to run before it
+        calls = []
+        owner, name = compute
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or real(*a, **k))
         _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
         cfg = {"mc": mc_ini, "simulate": sim_ini}.get(verb) or _write(tmp_path / "v.ini", body)
         out = tmp_path / "o"
@@ -192,6 +201,107 @@ class TestPlumbing:
         assert f"{present} exists; pass --force" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [present]
         assert (out / present).read_text() == "keep\n"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "verb, body, key, present",
+        [
+            ("estimate", "[estimate]\npath_csv = path.csv\nalpha = 0.6\n", "alpha",
+             "estimate.csv"),
+            ("estimate", "[estimate]\npath_csv = path.csv\nalpha = 0.25\nnum_points = 1\n",
+             "num_points", "estimate.csv"),
+            ("truth", "[model]\nkind = constant\nc = 1\n\n[truth]\nalpha = 0.6\n", "alpha",
+             "theta.csv"),
+            ("truth", "[model]\nkind = constant\nc = 1\n\n[truth]\nalpha = 0.25\n"
+                      "num_points = 0\n", "num_points", "theta.csv"),
+            ("mc", "[model]\nkind = constant\nc = 1\n\n[mc]\nalpha = 0.25\nn_list = 64\n"
+                   "replications = 2\ngrid_points = 1\n", "grid_points", "report.json"),
+            ("confidence", "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.6\n"
+                           "n = 64\n", "alpha", "confidence.csv"),
+            ("confidence", "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.25\n"
+                           "n = 64\ndelta = 1.5\n", "delta", "confidence.csv"),
+            ("confidence", "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.25\n"
+                           "n = 64\ncalibration_draws = 10\n", "calibration_draws",
+             "confidence.csv"),
+        ],
+        ids=[
+            "estimate-alpha", "estimate-grid-1", "truth-alpha", "truth-grid-0", "mc-grid-1",
+            "confidence-alpha", "delta", "calibration_draws",
+        ],
+    )
+    def test_bad_value_is_reported_before_existing_target(
+        self, tmp_path, capsys, verb, body, key, present
+    ):
+        # the texts are computed only after the refusal, so these values are
+        # checked when the config is read; the grids of 0 and 1 points used to
+        # fail inside the computation, naming no key
+        _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
+        cfg = _write(tmp_path / "v.ini", body)
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / present, "keep\n")
+        assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"fracspec: error: {key} must")
+        assert [p.name for p in out.iterdir()] == [present]
+
+    def test_failed_write_leaves_directory_unchanged(self, tmp_path, capsys, monkeypatch):
+        # the third of truth's three files fails to be written (a full disk);
+        # the first two used to land in --out
+        cfg = _write(
+            tmp_path / "t.ini",
+            "[model]\nkind = constant\nc = 1\n\n[truth]\nalpha = 0.25\nnum_points = 257\n",
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / "theta.csv", "keep\n")
+        opened = []
+        real_fdopen = os.fdopen
+
+        def fdopen(fd, *args, **kwargs):
+            opened.append(fd)
+            if len(opened) == 3:
+                os.close(fd)
+                raise OSError(28, "No space left on device")
+            return real_fdopen(fd, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        rc = _run("truth", "--config", str(cfg), "--out", str(out), "--force")
+        monkeypatch.undo()
+        assert rc == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["theta.csv"]
+        assert (out / "theta.csv").read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "verb, section, key, present",
+        [
+            ("simulate", "[simulate]\nn = {}\n", "n", "path_000.csv"),
+            ("confidence", "[confidence]\nalpha = 0.25\nn = {}\n", "n", "confidence.csv"),
+            ("mc", "[mc]\nalpha = 0.25\nreplications = 2\nn_list = 64 {}\n", "n_list",
+             "report.json"),
+            ("fejer", "[fejer]\nn_list = 64 {}\n", "n_list", "fejer.csv"),
+        ],
+        ids=["simulate-n", "confidence-n", "mc-n_list", "fejer-n_list"],
+    )
+    @pytest.mark.parametrize("size", [2**20 + 1, 10**9])
+    @pytest.mark.parametrize(
+        "model", ["kind = ar1\nrho = 0.5\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
+        ids=["ar1", "unreadable-model"],
+    )
+    def test_path_length_above_max_n_is_config_error(
+        self, tmp_path, capsys, verb, section, key, present, size, model
+    ):
+        # these used to allocate until a MemoryError; the model whose grid CSV
+        # is missing shows the check runs before the model is read. The target
+        # present keeps a run that skipped the check from computing anything
+        cfg = _write(tmp_path / "n.ini", f"[model]\n{model}\n{section.format(size)}")
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / present, "keep\n")
+        assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must" in err and f"{2**20}, got" in err and str(size) in err
+        assert [p.name for p in out.iterdir()] == [present]
 
     def test_grid_at_ceiling_is_accepted(self, tmp_path):
         _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")

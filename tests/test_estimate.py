@@ -99,7 +99,7 @@ class TestPluginVariance:
     def test_recovers_limit_variance_in_expectation(self, alpha):
         # averaged over replications the plug-in tracks the stated limit variance
         n, reps = 1024, 200
-        target = specmodel.theta_diagonal(CONST, alpha, math.pi)
+        target = specmodel.theta_point(CONST, alpha, math.pi, math.pi)
         acc = 0.0
         for r in range(reps):
             j = estimate.periodogram(gsim.sample_path(CONST, n, seed=20, stream=r))

@@ -151,9 +151,11 @@ class TestSpectralFunction:
         assert val == pytest.approx(0.40864, abs=5e-5)
 
     def test_alpha_zero_reduces_to_spectral_function(self):
+        for model in (CONST, AR1, _custom_model()):
+            spectral = specmodel.spectral_profile(model, 4097)
+            frac = specmodel.frac_truth_profile(model, 0.0, 4097)
+            assert np.array_equal(frac.values, spectral.values), model.kind
         spectral = specmodel.spectral_profile(AR1, 4097)
-        frac = specmodel.frac_truth_profile(AR1, 0.0, 4097)
-        np.testing.assert_allclose(frac.values, spectral.values, rtol=1e-12)
         for lam in (math.pi / 2, math.pi):
             oracle, _ = quad(AR1.density, 0.0, lam, epsabs=1e-13, epsrel=1e-13)
             assert spectral.interp(lam) == pytest.approx(oracle, rel=1e-9)
@@ -218,13 +220,13 @@ class TestLimitCovariance:
     def test_diagonal_gamma_closed_form(self):
         # constant density 1/(2 pi), alpha = 1/4, lam = pi:
         # Theta = 1 / (Gamma^2(3/4) Gamma(3/2))
-        val = specmodel.theta_diagonal(CONST, 0.25, math.pi)
+        val = specmodel.theta_point(CONST, 0.25, math.pi, math.pi)
         exact = 1.0 / (math.gamma(0.75) ** 2 * math.gamma(1.5))
         assert val == pytest.approx(exact, rel=1e-10)
 
     def test_diagonal_alpha_zero_is_beta_sq(self):
         for model in (CONST, AR1):
-            assert specmodel.theta_diagonal(model, 0.0, math.pi) == pytest.approx(
+            assert specmodel.theta_point(model, 0.0, math.pi, math.pi) == pytest.approx(
                 specmodel.beta_sq(model, math.pi), rel=1e-10
             )
 
@@ -247,8 +249,8 @@ class TestLimitCovariance:
 
     def test_symmetric_convention_full_mass_at_endpoint(self):
         # at lam = mu = 2 pi with alpha = 0 both conventions give beta^2(2 pi)
-        plain = specmodel.theta_diagonal(CONST, 0.0, TWO_PI)
-        sym = specmodel.theta_diagonal(CONST, 0.0, TWO_PI, real_symmetry=True)
+        plain = specmodel.theta_point(CONST, 0.0, TWO_PI, TWO_PI)
+        sym = specmodel.theta_point(CONST, 0.0, TWO_PI, TWO_PI, real_symmetry=True)
         assert sym == pytest.approx(plain, rel=1e-10)
 
     def test_matrix_is_psd_and_factor_reproduces(self):
@@ -260,7 +262,7 @@ class TestLimitCovariance:
 
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(DomainError):
-            specmodel.theta_diagonal(CONST, 0.5, math.pi)
+            specmodel.theta_point(CONST, 0.5, math.pi, math.pi)
 
 
 PAIRS = [
@@ -343,7 +345,7 @@ class TestProductRule:
         real_symmetry=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
-    def test_covariance_is_symmetric_psd_with_theta_diagonal(
+    def test_covariance_is_symmetric_psd_with_theta_point(
         self, probes, alpha, rho, real_symmetry
     ):
         model = CONST if rho is None else SpectralModel.ar1(rho)
@@ -352,6 +354,6 @@ class TestProductRule:
         assert np.array_equal(cov.matrix, cov.matrix.T)
         scale = float(np.max(np.diag(cov.matrix)))
         assert np.linalg.eigvalsh(cov.matrix).min() >= -1e-12 * scale
-        diag = [specmodel.theta_diagonal(model, alpha, p, real_symmetry) for p in probes]
+        diag = [specmodel.theta_point(model, alpha, p, p, real_symmetry) for p in probes]
         # the projection moves the diagonal by at most the clipped eigenvalues
         np.testing.assert_allclose(np.diag(cov.matrix), diag, rtol=1e-9, atol=1e-12 * scale)
