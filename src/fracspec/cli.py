@@ -152,10 +152,12 @@ def _grid_points(section: dict, key: str, default: int) -> int:
     return num_points
 
 
-def _size(section: dict, key: str, default: int | None = None, most: float = math.inf) -> int:
+def _size(
+    section: dict, key: str, default: int | None = None, most: float = math.inf, least: int = 1
+) -> int:
     size = _get(section, key, int, default)
-    if size < 1:
-        raise ConfigError(f"{key} must be at least 1, got {size}")
+    if size < least:
+        raise ConfigError(f"{key} must be at least {least}, got {size}")
     if size > most:
         raise ConfigError(f"{key} must be at most {most}, got {size}")
     return size
@@ -195,13 +197,15 @@ def build_mc_config(
     mc = sections.get("mc", {})
     grid_points = _grid_points(mc, "grid_points", 0) or None
     n_list = _n_list(mc)
+    # the sample covariance of the probes needs two replications
+    replications = _size(mc, "replications", least=2)
     model = _model_from(sections, config_dir)
     seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
     return verify.McConfig(
         model=model,
         alpha=_get(mc, "alpha", float),
         n_list=n_list,
-        replications=_get(mc, "replications", int),
+        replications=replications,
         probe_lambdas=_get(mc, "probe_lambdas", _float_list, (math.pi / 2, math.pi)),
         seed=seed,
         tail_u_grid=_get(mc, "tail_u_grid", _float_list, verify.DEFAULT_TAIL_GRID),

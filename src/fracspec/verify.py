@@ -72,10 +72,9 @@ class McConfig:
             )
         if not self.n_list or any(int(n) < 1 for n in self.n_list):
             raise DomainError(f"n_list must hold positive integers, got {self.n_list!r}")
-        if int(self.replications) < 1:
-            raise DomainError(
-                f"replications must be a positive integer, got {self.replications!r}"
-            )
+        if int(self.replications) < 2:
+            # the sample covariance of the probes needs two replications
+            raise DomainError(f"replications must be at least 2, got {self.replications!r}")
         probes = tuple(float(x) for x in self.probe_lambdas)
         if any(not (0.0 < p <= TWO_PI) for p in probes):
             raise DomainError(f"probe_lambdas must lie in (0, 2*pi], got {probes!r}")
@@ -246,7 +245,8 @@ def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
     Replications are cut into blocks of at most 64 whatever the worker count,
     and blocks merge in order, so every thread count gives the same bytes.
     """
-    from scipy import stats  # imported on use: only the normality test needs it
+    from ._kstest import kstest_norm  # imported on use: the other verbs never load it
+
     model = config.model
     alpha = config.alpha
     rep = config.replications
@@ -306,8 +306,8 @@ def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
 
         for i, p in enumerate(config.probe_lambdas):
             sigma = math.sqrt(theta_point(model, alpha, p, p))
-            ks, pval = stats.kstest(agg["probe_centered"][:, i] / sigma, "norm")
-            report.normality_rows.append((n, p, float(ks), float(pval)))
+            ks, pval = kstest_norm(agg["probe_centered"][:, i] / sigma)
+            report.normality_rows.append((n, p, ks, pval))
 
         censor = 2.0 / rep
         for u in config.tail_u_grid:

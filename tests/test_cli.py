@@ -153,6 +153,36 @@ class TestPlumbing:
         assert f"{key} must be at least 1, got {value}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("replications", [1, 0, -3])
+    @pytest.mark.parametrize(
+        "model", ["kind = constant\nc = 1\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
+        ids=["constant", "unreadable-model"],
+    )
+    def test_mc_replications_below_two_is_config_error(
+        self, tmp_path, capsys, replications, model
+    ):
+        # 1 used to exit 0 after three RuntimeWarnings, with NaN in cov.csv and
+        # bare NaN tokens in report.json; the check runs before the model is read
+        cfg = _write(
+            tmp_path / "m.ini",
+            f"[model]\n{model}\n[mc]\nalpha = 0.25\nn_list = 64\n"
+            f"replications = {replications}\n",
+        )
+        out = tmp_path / "o"
+        assert _run("mc", "--config", str(cfg), "--out", str(out)) == 1
+        assert f"replications must be at least 2, got {replications}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_mc_two_replications_run(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path / "m.ini",
+            "[model]\nkind = ar1\nrho = 0.5\n\n"
+            "[mc]\nalpha = 0.25\nn_list = 64\nreplications = 2\n",
+        )
+        out = tmp_path / "o"
+        assert _run("mc", "--config", str(cfg), "--out", str(out)) == 0, capsys.readouterr().err
+        assert "nan" not in (out / "report.json").read_text().lower()
+
     @pytest.mark.parametrize("n_list", ["0", "-3 8"])
     @pytest.mark.parametrize(
         "model", ["kind = ar1\nrho = 0.5\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
@@ -531,9 +561,10 @@ def _env_without_blas_threads(**preset: str) -> dict[str, str]:
 
 
 class TestImportGraph:
-    """scipy stays off the start-up path: only `mc` (kstest) loads it. The CLI
-    runs BLAS on one thread unless the caller chose otherwise, and the package
-    itself loads no numpy. Each check runs in a fresh interpreter."""
+    """scipy is no runtime dependency: no module under src/ imports it, and no
+    verb loads it (the tests keep it as an oracle). The CLI runs BLAS on one
+    thread unless the caller chose otherwise, and the package itself loads no
+    numpy. Each check runs in a fresh interpreter."""
 
     @staticmethod
     def _python(code: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
@@ -615,6 +646,11 @@ class TestImportGraph:
             f"[model]\nkind = constant\nc = {CONST_C!r}\n\n[confidence]\nalpha = 0.25\n"
             "n = 128\ncalibration_draws = 1000\nreplications = 10\nnum_probes = 16\n",
         )
+        mc_ini = _write(
+            tmp_path / "mc.ini",
+            "[model]\nkind = ar1\nrho = 0.5\n\n[mc]\nalpha = 0.25\nn_list = 128\n"
+            "replications = 20\n",
+        )
         runs = [
             [verb, "--config", str(cfg), "--out", str(tmp_path / out)]
             for verb, cfg, out in (
@@ -623,6 +659,7 @@ class TestImportGraph:
                 ("fejer", configs / "fejer_ar1.ini", "fej"),
                 ("truth", configs / "truth_constant.ini", "tru"),
                 ("confidence", conf_ini, "conf"),
+                ("mc", mc_ini, "mc"),
             )
         ]
         # a None entry in sys.modules makes every `import scipy...` raise ImportError
@@ -631,18 +668,39 @@ class TestImportGraph:
             f"print([main(argv) for argv in {runs!r}])"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0, 0, 0]", proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0]", proc.stderr
+
+    def test_mc_loads_no_scipy(self, tmp_path):
+        # the normality test used to import scipy.stats, half of mc's wall time
+        config = Path(__file__).resolve().parents[1] / "configs" / "mc_ar1.ini"
+        argv = ["mc", "--config", str(config), "--out", str(tmp_path / "mc")]
+        proc = self._python(
+            "import sys\nfrom fracspec.cli import main\n"
+            f"print(main({argv!r}), sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []", proc.stderr
+
+    @staticmethod
+    def _imported_names(module: Path) -> list[str]:
+        names = []
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+        return names
+
+    def test_no_module_imports_scipy(self):
+        # scipy is a test extra only: the package needs numpy alone at run time
+        src = Path(__file__).resolve().parents[1] / "src" / "fracspec"
+        for module in sorted(src.glob("*.py")):
+            names = self._imported_names(module)
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), module.name
 
     def test_no_module_imports_scipy_integrate(self):
         # quad is only a test oracle now: the limit covariance has its own rule
         src = Path(__file__).resolve().parents[1] / "src" / "fracspec"
         for module in sorted(src.glob("*.py")):
-            tree = ast.parse(module.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [f"{node.module}.{alias.name}" for alias in node.names]
-                else:
-                    continue
-                assert not any(n.startswith("scipy.integrate") for n in names), module.name
+            names = self._imported_names(module)
+            assert not any(n.startswith("scipy.integrate") for n in names), module.name

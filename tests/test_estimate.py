@@ -95,20 +95,65 @@ class TestFracEstimate:
 
 
 class TestPluginVariance:
-    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
-    def test_recovers_limit_variance_in_expectation(self, alpha):
-        # averaged over replications the plug-in tracks the stated limit variance
-        n, reps = 1024, 200
-        target = specmodel.theta_point(CONST, alpha, math.pi, math.pi)
+    N = 1024
+
+    @classmethod
+    def _mean_plugin(cls, alpha: float, lam: float) -> float:
+        reps = 200
         acc = 0.0
         for r in range(reps):
-            j = estimate.periodogram(gsim.sample_path(CONST, n, seed=20, stream=r))
-            acc += estimate.plugin_variance(j, alpha, math.pi)
-        assert acc / reps == pytest.approx(target, rel=0.15)
+            j = estimate.periodogram(gsim.sample_path(CONST, cls.N, seed=20, stream=r))
+            acc += estimate.plugin_variance(j, cls.N, alpha, lam)
+        return acc / reps
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4, 0.45])
+    def test_recovers_limit_variance_in_expectation(self, alpha):
+        # averaged over replications the plug-in tracks the stated limit variance;
+        # plug-in / limit is 0.992, 0.988, 1.010 and 1.052 (half of J^2 gave
+        # 0.991, 1.001, 1.144 and 1.333)
+        target = specmodel.theta_point(CONST, alpha, math.pi, math.pi)
+        assert self._mean_plugin(alpha, math.pi) == pytest.approx(target, rel=0.15)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below-pi", "above-pi"])
+    def test_recovers_limit_variance_next_to_pi(self, side):
+        # one Fourier half-step from pi, a pair looking toward pi straddles it just
+        # below lam and reads 1.244 times the limit at alpha = 0.4; looking away
+        # from pi it reads 0.962 below and 1.022 above
+        lam = math.pi + side * math.pi / self.N
+        target = specmodel.theta_point(CONST, 0.4, lam, lam)
+        assert self._mean_plugin(0.4, lam) == pytest.approx(target, rel=0.15)
 
     def test_positive(self):
         j = estimate.periodogram(gsim.sample_path(AR1, 128, seed=6))
-        assert estimate.plugin_variance(j, 0.1, 2.0) > 0.0
+        assert estimate.plugin_variance(j, 128, 0.1, 2.0) > 0.0
+
+    @pytest.mark.parametrize(
+        "num_points, lam, shift",
+        [(4097, math.pi, 4), (4097, 1.0, -4), (4097, TWO_PI, 4), (4001, math.pi, None)],
+    )
+    def test_squares_by_ordinates_one_fourier_frequency_apart(
+        self, monkeypatch, num_points, lam, shift
+    ):
+        # on a grid with (N - 1) / n = 4 the pair is J(nu) J(nu -+ 4 steps), looking
+        # back at lam = pi and 2 pi and ahead at lam = 1; at (N - 1) / n = 3.906
+        # the earlier ordinate is interpolated
+        n, alpha = 1024, 0.25
+        j = estimate.periodogram(gsim.sample_path(CONST, n, seed=4), num_points)
+        seen = []
+        real = estimate.fracops.frac_integral
+        monkeypatch.setattr(
+            estimate.fracops, "frac_integral", lambda g, order: seen.append(g) or real(g, order)
+        )
+        estimate.plugin_variance(j, n, alpha, lam)
+        if shift:
+            expected = j.values[:-1] * np.roll(j.values[:-1], shift)
+            assert np.array_equal(seen[0].values[:-1], expected)
+        else:
+            behind = np.interp((j.grid[:-1] - TWO_PI / n) % TWO_PI, j.grid, j.values)
+            expected = j.values[:-1] * behind
+            # the two interpolation points differ by rounding only
+            atol = 1e-12 * np.max(expected)
+            np.testing.assert_allclose(seen[0].values[:-1], expected, rtol=0, atol=atol)
 
 
 def test_default_grid_points_caps():

@@ -43,6 +43,20 @@ class TestMcConfig:
         with pytest.raises(DomainError):
             _config(replications=0)
 
+    def test_rejects_one_replication(self):
+        # the sample covariance of one replication is NaN, and report.json then
+        # held bare NaN tokens
+        with pytest.raises(DomainError, match="replications must be at least 2, got 1"):
+            _config(replications=1)
+
+    def test_two_replications_give_strict_json(self):
+        def refuse(token):
+            raise ValueError(f"non-finite {token} in report.json")
+
+        report = verify.run_monte_carlo(_config(n_list=(64,), replications=2))
+        payload = json.loads(report.to_json_text(), parse_constant=refuse)
+        assert len(payload["covariance"]) == 3
+
     def test_rejects_unsorted_probes(self):
         with pytest.raises(DomainError):
             _config(probe_lambdas=(3.0, 1.0))
