@@ -185,6 +185,18 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
+def _probe_lambdas(section: dict, default: tuple[float, ...]) -> tuple[float, ...]:
+    probes = _get(section, "probe_lambdas", _float_list, default)
+    if not 1 <= len(probes) <= verify.MAX_PROBES:
+        raise ConfigError(
+            f"probe_lambdas must hold between 1 and {verify.MAX_PROBES} values, "
+            f"got {len(probes)}"
+        )
+    if not all(0.0 < p <= TWO_PI for p in probes):
+        raise ConfigError(f"probe_lambdas must lie in (0, 2*pi], got {probes!r}")
+    return probes
+
+
 def _model_from(sections: dict, config_dir: Path) -> SpectralModel:
     if "model" not in sections:
         raise ConfigError("config is missing required section [model]")
@@ -199,6 +211,7 @@ def build_mc_config(
     n_list = _n_list(mc)
     # the sample covariance of the probes needs two replications
     replications = _size(mc, "replications", least=2)
+    probes = _probe_lambdas(mc, (math.pi / 2, math.pi))
     model = _model_from(sections, config_dir)
     seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
     return verify.McConfig(
@@ -206,7 +219,7 @@ def build_mc_config(
         alpha=_get(mc, "alpha", float),
         n_list=n_list,
         replications=replications,
-        probe_lambdas=_get(mc, "probe_lambdas", _float_list, (math.pi / 2, math.pi)),
+        probe_lambdas=probes,
         seed=seed,
         tail_u_grid=_get(mc, "tail_u_grid", _float_list, verify.DEFAULT_TAIL_GRID),
         holder_delta=_get(mc, "holder_delta", float, 0.0) or None,
@@ -291,9 +304,9 @@ def _cmd_estimate(args, sections: dict, config_dir: Path) -> tuple[list[str], It
 def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     tr = sections.get("truth", {})
     num_points = _grid_points(tr, "num_points", 4097)
-    model = _model_from(sections, config_dir)
     alpha = _alpha(tr)
-    probes = _get(tr, "probe_lambdas", _float_list, (math.pi / 2, math.pi, TWO_PI))
+    probes = _probe_lambdas(tr, (math.pi / 2, math.pi, TWO_PI))
+    model = _model_from(sections, config_dir)
     header = _header(sections, None, {"grid_points": num_points})
     with_alpha = header + [f"alpha = {alpha:g}"]
 
@@ -332,7 +345,6 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], 
         )
     n = _size(cf, "n", most=MAX_N)
     reps = _size(cf, "replications", 400)
-    model = _model_from(sections, config_dir)
     alpha = _alpha(cf)
     delta = _get(cf, "delta", float, 0.05)
     if not 0.0 < delta < 1.0:
@@ -340,6 +352,14 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], 
     draws = _get(cf, "calibration_draws", int, 5000)
     if draws < 1000:
         raise ConfigError(f"calibration_draws must be >= 1000, got {draws!r}")
+    # the calibration draws are one num_probes x draws block of floats
+    most_draws = verify._MAX_CALIBRATION_FLOATS // num_probes
+    if draws > most_draws:
+        raise ConfigError(
+            f"calibration_draws must be at most {most_draws} for {num_probes} probes, "
+            f"got {draws}"
+        )
+    model = _model_from(sections, config_dir)
     seed = args.seed if args.seed is not None else _get(cf, "seed", int, 0)
     header = _header(sections, seed, {"n": n, "num_probes": num_probes})
 

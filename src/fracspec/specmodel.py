@@ -363,51 +363,17 @@ def _one_sided(
     return value, gap
 
 
-def _power_step(base: np.ndarray, step: float | np.ndarray, e: float) -> np.ndarray:
-    """((base + step)^e - base^e) / e for base >= 0, accurate when step << base."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grown = base**e * np.expm1(e * np.log1p(step / base)) / e
-    return np.where(base > 0.0, grown, step**e / e)
-
-
-def _custom_diagonal(model: SpectralModel, mu: np.ndarray, exponent: float) -> np.ndarray:
-    """Integral of f^2(nu) (mu - nu)^-exponent over [0, mu] for a custom density.
-
-    f^2 is quadratic on each cell, so each cell is summed from the exact
-    moments of t^-exponent, t = mu - nu, in the offset u from the cell's end
-    nearer mu: the integral of u^k (near + u)^-exponent over [0, width].
-    """
-    g = model.grid_fn
-    slope = np.diff(g.values) / g.spacing
-    out = np.empty(mu.size)
-    block = max(1, _BLOCK_NODES // g.num_points)
-    for start in range(0, mu.size, block):
-        m = mu[start : start + block, None]
-        near = np.clip(m - g.grid[1:], 0.0, None)
-        width = np.clip(m - g.grid[:-1], 0.0, None) - near
-        top = g.values[:-1] + slope * (m - near - g.grid[:-1])  # f at nu = mu - near
-        j0, j1, j2 = (_power_step(near, width, k + 1.0 - exponent) for k in range(3))
-        m1 = j1 - near * j0
-        m2 = j2 - 2.0 * near * j1 + near**2 * j0
-        cells = top**2 * j0 - 2.0 * top * slope * m1 + slope**2 * m2
-        out[start : start + block] = np.sum(cells, axis=1)
-    return out
-
-
 def _direct(model: SpectralModel, alpha: float, lam: np.ndarray, mu: np.ndarray):
     """Integral of f^2(nu) (lam-nu)^-a (mu-nu)^-a over [0, mu] for lam >= mu,
     and its quadrature error estimate.
 
     In t = mu - nu the singular factor is t^-a off the diagonal and t^-2a on
-    it; it is the Gauss-Jacobi weight of the first panel. A custom density
-    takes exact moments on the diagonal.
+    it; it is the Gauss-Jacobi weight of the first panel.
     """
     value, gap = np.zeros(mu.shape), np.zeros(mu.shape)
     diag = (lam == mu) & (mu > 0.0)
     off = (lam != mu) & (mu > 0.0)
-    if model.kind == "custom_grid":
-        value[diag] = _custom_diagonal(model, mu[diag], 2.0 * alpha)
-    elif diag.any():
+    if diag.any():
         value[diag], gap[diag] = _one_sided(model, alpha, mu[diag], -1.0, mu[diag], 2.0 * alpha)
     if off.any():
         value[off], gap[off] = _one_sided(

@@ -16,7 +16,7 @@ from .errors import DomainError
 from .estimate import default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, GridFunction, csv_table
 from .gsim import sample_limit_process, sample_path
-from .specmodel import SpectralModel, limit_covariance, theta_point
+from .specmodel import SpectralModel, limit_covariance
 
 #: stream-index offsets keeping replication phases disjoint
 _STREAM_MC = 1 << 40
@@ -32,12 +32,15 @@ DEFAULT_TAIL_GRID = tuple(0.5 * k for k in range(1, 9))
 #: probes of the sup-norm band (mc and confidence_band default)
 BAND_PROBES = 64
 
-#: most band probes the confidence verb accepts: the covariance has
-#: MAX_PROBES (MAX_PROBES + 1) / 2 probe pairs
+#: most probes of one limit covariance (the confidence band's num_probes, the
+#: truth and mc probe_lambdas): it has MAX_PROBES (MAX_PROBES + 1) / 2 probe pairs
 MAX_PROBES = 1024
 
 #: limit-process draws calibrating the mc band half-width u0
 MC_CALIBRATION_DRAWS = 2000
+
+#: most floats in the probes x draws block of limit-process draws (256 MB)
+_MAX_CALIBRATION_FLOATS = 1 << 25
 
 #: (file name, CSV header) of each table of the mc bundle, in writing order
 MC_TABLES = (
@@ -78,6 +81,10 @@ class McConfig:
         probes = tuple(float(x) for x in self.probe_lambdas)
         if any(not (0.0 < p <= TWO_PI) for p in probes):
             raise DomainError(f"probe_lambdas must lie in (0, 2*pi], got {probes!r}")
+        if not 1 <= len(probes) <= MAX_PROBES:
+            raise DomainError(
+                f"probe_lambdas must hold between 1 and {MAX_PROBES} values, got {len(probes)}"
+            )
         if any(b <= a for a, b in zip(probes, probes[1:])):
             raise DomainError("probe_lambdas must be strictly increasing")
         if not (0.0 < self.delta_confidence < 1.0):
@@ -305,7 +312,7 @@ def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
                 report.cov_rows.append((n, li, config.probe_lambdas[j], emp, theory, rel))
 
         for i, p in enumerate(config.probe_lambdas):
-            sigma = math.sqrt(theta_point(model, alpha, p, p))
+            sigma = math.sqrt(probe_theory.matrix[i, i])
             ks, pval = kstest_norm(agg["probe_centered"][:, i] / sigma)
             report.normality_rows.append((n, p, ks, pval))
 
@@ -347,6 +354,11 @@ def confidence_band(
         raise DomainError(f"replications must be at least 1, got {replications!r}")
     if not 1 <= num_probes <= MAX_PROBES:
         raise DomainError(f"num_probes must be between 1 and {MAX_PROBES}, got {num_probes!r}")
+    if num_probes * calibration_draws > _MAX_CALIBRATION_FLOATS:
+        raise DomainError(
+            f"calibration_draws must be at most {_MAX_CALIBRATION_FLOATS // num_probes} "
+            f"for {num_probes} probes, got {calibration_draws!r}"
+        )
     probes = _band_probes(num_probes)
     u0 = _band_half_width(
         model, alpha, num_probes, real_symmetry, seed, calibration_draws, delta

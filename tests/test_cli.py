@@ -128,6 +128,87 @@ class TestPlumbing:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "verb, section, present",
+        [
+            ("truth", "[truth]\nalpha = 0.25\n", "theta.csv"),
+            ("mc", "[mc]\nalpha = 0.25\nn_list = 64\nreplications = 2\n", "report.json"),
+        ],
+        ids=["truth", "mc"],
+    )
+    @pytest.mark.parametrize(
+        "probes, message",
+        [
+            ("1.0 7.0", "probe_lambdas must lie in (0, 2*pi], got (1.0, 7.0)"),
+            ("", "probe_lambdas must hold between 1 and 1024 values, got 0"),
+            (" ".join(f"{x:.17g}" for x in np.linspace(0.005, 2.0 * math.pi, 1025)),
+             "probe_lambdas must hold between 1 and 1024 values, got 1025"),
+        ],
+        ids=["range", "empty", "too-many"],
+    )
+    @pytest.mark.parametrize(
+        "model", ["kind = constant\nc = 1\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
+        ids=["constant", "unreadable-model"],
+    )
+    def test_probe_lambdas_outside_bounds_is_config_error(
+        self, tmp_path, capsys, verb, section, present, probes, message, model
+    ):
+        # a probe above 2 pi used to be refused only after both truth profiles
+        # were computed, naming no key, and an empty list named probe_grid; the
+        # count bound keeps the P (P + 1) / 2 probe pairs of the covariance small
+        cfg = _write(
+            tmp_path / "p.ini", f"[model]\n{model}\n{section}probe_lambdas = {probes}\n"
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / present, "keep\n")
+        assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"fracspec: error: {message}\n"
+        assert [p.name for p in out.iterdir()] == [present]
+        assert (out / present).read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "num_probes, draws", [(64, 10**12), (1024, 2**25 // 1024 + 1)], ids=["64", "1024"]
+    )
+    @pytest.mark.parametrize(
+        "model", ["kind = constant\nc = 1\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
+        ids=["constant", "unreadable-model"],
+    )
+    def test_calibration_draws_above_bound_is_config_error(
+        self, tmp_path, capsys, num_probes, draws, model
+    ):
+        # 10^12 draws used to end in a numpy _ArrayMemoryError traceback for a
+        # 64 x 10^12 block of limit-process draws
+        cfg = _write(
+            tmp_path / "c.ini",
+            f"[model]\n{model}\n[confidence]\nalpha = 0.25\nn = 64\n"
+            f"num_probes = {num_probes}\ncalibration_draws = {draws}\n",
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / "confidence.csv", "keep\n")
+        assert _run("confidence", "--config", str(cfg), "--out", str(out)) == 1
+        most = 2**25 // num_probes
+        assert capsys.readouterr().err == (
+            f"fracspec: error: calibration_draws must be at most {most} for {num_probes} "
+            f"probes, got {draws}\n"
+        )
+        assert (out / "confidence.csv").read_text() == "keep\n"
+
+    def test_largest_default_calibration_is_accepted(self, tmp_path, monkeypatch):
+        # 1024 probes x the default 5000 draws stay within the bound
+        calls = []
+        monkeypatch.setattr(
+            verify, "confidence_band", lambda *a, **k: calls.append(k) or (1.0, 1.0)
+        )
+        cfg = _write(
+            tmp_path / "c.ini",
+            "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.25\nn = 64\n"
+            "num_probes = 1024\n",
+        )
+        assert _run("confidence", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        assert [k["num_probes"] for k in calls] == [1024]
+
+    @pytest.mark.parametrize(
         "verb, section, key, value",
         [
             ("confidence", "[confidence]\nalpha = 0.25\nn = 64\n", "replications", 0),
@@ -658,6 +739,7 @@ class TestImportGraph:
                 ("estimate", est_ini, "est"),
                 ("fejer", configs / "fejer_ar1.ini", "fej"),
                 ("truth", configs / "truth_constant.ini", "tru"),
+                ("truth", configs / "truth_custom.ini", "tru_custom"),
                 ("confidence", conf_ini, "conf"),
                 ("mc", mc_ini, "mc"),
             )
@@ -668,7 +750,7 @@ class TestImportGraph:
             f"print([main(argv) for argv in {runs!r}])"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0]", proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0]", proc.stderr
 
     def test_mc_loads_no_scipy(self, tmp_path):
         # the normality test used to import scipy.stats, half of mc's wall time

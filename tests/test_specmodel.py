@@ -307,6 +307,17 @@ class TestProductRule:
             oracle = _quad_theta(CUSTOM_AR1, 0.25, lam, mu, real_symmetry, cells)
             assert val == pytest.approx(oracle, rel=1e-10), (lam, mu)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.45])
+    def test_custom_grid_diagonal_to_round_off(self, alpha):
+        # a sharp AR(1) peak on a coarse grid, with most cells many widths below
+        # mu: the diagonal holds to round-off there as well
+        model = _tabulated_ar1(0.95, 65)
+        cells = tuple(model.grid_fn.grid)
+        mus = [1.0, math.pi / 2, 4.3, 5.0136, 61 * TWO_PI / 64, TWO_PI]
+        val = specmodel.theta_point(model, alpha, mus, mus)
+        oracle = [_quad_theta(model, alpha, mu, mu, points=cells) for mu in mus]
+        np.testing.assert_allclose(val, oracle, rtol=1e-13)
+
     def test_custom_grid_is_close_to_its_parametric_density(self):
         # the tabulated AR(1) differs from AR(1) by the interpolation error, O(h^2)
         probes = np.array([math.pi / 2, math.pi, TWO_PI])

@@ -61,6 +61,12 @@ class TestMcConfig:
         with pytest.raises(DomainError):
             _config(probe_lambdas=(3.0, 1.0))
 
+    @pytest.mark.parametrize("count", [0, verify.MAX_PROBES + 1])
+    def test_rejects_probe_count_out_of_bounds(self, count):
+        probes = tuple(np.linspace(0.005, TWO_PI, count))
+        with pytest.raises(DomainError, match=f"between 1 and 1024 values, got {count}"):
+            _config(probe_lambdas=probes)
+
 
 class TestReplicate:
     @pytest.mark.parametrize("model", [CONST, AR1], ids=["constant", "ar1"])
@@ -154,6 +160,15 @@ class TestConfidenceBand:
     def test_rejects_sizes_out_of_bounds(self, kw, message):
         with pytest.raises(DomainError, match=message):
             verify.confidence_band(CONST, 0.25, 64, 0.05, 1000, seed=0, **kw)
+
+    def test_rejects_calibration_block_above_bound(self, monkeypatch):
+        # 64 probes x 10^12 draws used to fail allocating a 466 TiB block;
+        # the check runs before the limit covariance is computed
+        monkeypatch.setattr(verify, "limit_covariance", None)
+        with pytest.raises(
+            DomainError, match="calibration_draws must be at most 524288 for 64 probes"
+        ):
+            verify.confidence_band(CONST, 0.25, 64, 0.05, 10**12, seed=0)
 
     @pytest.mark.parametrize("num_probes, step", [(64, 64), (48, 1)])
     def test_matches_full_grid_oracle(self, monkeypatch, num_probes, step):
