@@ -209,9 +209,12 @@ def build_mc_config(
     mc = sections.get("mc", {})
     grid_points = _grid_points(mc, "grid_points", 0) or None
     n_list = _n_list(mc)
-    # the sample covariance of the probes needs two replications
-    replications = _size(mc, "replications", least=2)
     probes = _probe_lambdas(mc, (math.pi / 2, math.pi))
+    # the sample covariance of the probes needs two replications; every
+    # replication's records are kept until the run ends
+    replications = _size(
+        mc, "replications", least=2, most=verify._most_mc_replications(len(probes))
+    )
     model = _model_from(sections, config_dir)
     seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
     return verify.McConfig(

@@ -28,8 +28,9 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
     """Evaluate the periodogram exactly at every point of the uniform grid.
 
     The trigonometric sum is a polynomial in exp(i lam); on the uniform grid
-    it is one real FFT with index folding, which is exact at each requested
-    lam (no interpolation); the data are real, so the upper half of the grid
+    it is one real FFT of the data, zero-padded to m = num_points - 1 points
+    or, when n > m, folded onto m bins. That is exact at each requested lam
+    (no interpolation); the data are real, so the upper half of the grid
     mirrors the lower. The mean the path was simulated with (`added_mean`) is
     subtracted first.
     """
@@ -40,9 +41,10 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
     n = path.n
     m = num_points - 1
     demeaned = path.values - path.added_mean
-    # the time origin of the fold moves only the phase of the sum
-    folded = np.bincount(np.arange(n) % m, weights=demeaned, minlength=m)
-    transform = np.fft.rfft(folded)
+    if n > m:
+        # the time origin of the fold moves only the phase of the sum
+        demeaned = np.bincount(np.arange(n) % m, weights=demeaned, minlength=m)
+    transform = np.fft.rfft(demeaned, m)
     return even_grid_function((transform.real**2 + transform.imag**2) / (TWO_PI * n), num_points)
 
 

@@ -2,9 +2,12 @@
 
 Stationary paths come from circulant embedding of the autocovariance sequence,
 which is exact in law whenever the embedding is nonnegative definite; padding
-is doubled (up to a cap) until it is. Randomness is drawn from the
-counter-based Philox generator keyed by (seed, stream), so replications are
-reproducible independently of scheduling.
+is doubled (up to a cap) until it is. A path is the real part of
+ifft(sqrt(eigs) * (a + i b)) for two blocks a, b of standard normals; it is
+computed as one real inverse FFT of the Hermitian part of that spectrum,
+which takes the same draws. Randomness is drawn from the counter-based Philox
+generator keyed by (seed, stream), so replications are reproducible
+independently of scheduling.
 """
 
 from __future__ import annotations
@@ -100,14 +103,16 @@ class SamplePath:
 
 @lru_cache(maxsize=32)
 def _embedding_sqrt_eigs(model: SpectralModel, n: int) -> np.ndarray:
-    """sqrt of circulant eigenvalues for an M-point embedding of r(0..n-1)."""
+    """sqrt of the circulant eigenvalues k = 0 .. m/2 of an m-point embedding
+    of r(0..n-1); the embedding row is symmetric, so eigenvalue m - k is
+    eigenvalue k."""
     m = 1
     while m < 2 * n:
         m *= 2
     for _ in range(MAX_DOUBLINGS + 1):
         r = autocovariance_batch(model, m // 2)
         circ = np.concatenate((r, r[-2:0:-1]))
-        eigs = np.fft.fft(circ).real
+        eigs = np.fft.rfft(circ).real
         if eigs.min() >= EIG_TOL * max(1.0, eigs.max()):
             out = np.sqrt(np.clip(eigs, 0.0, None))
             out.setflags(write=False)
@@ -127,10 +132,22 @@ def sample_path(
         raise SamplingError(f"sample_path needs n >= 1, got {n!r}")
     n = int(n)
     sqrt_eigs = _embedding_sqrt_eigs(model, n)
-    m = sqrt_eigs.size
-    rng = make_rng(seed, stream)
-    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    path = np.sqrt(m) * np.fft.ifft(sqrt_eigs * z).real[:n] + mean
+    half = sqrt_eigs.size - 1
+    m = 2 * half
+    # the path is Re ifft(s (a + i b)) with a, b the two halves of one draw;
+    # that is ifft of the Hermitian part H_k = s_k/2 [(a_k + a_{m-k}) + i (b_k - b_{m-k})],
+    # which one real inverse FFT of H_0 .. H_{m/2} computes
+    draws = make_rng(seed, stream).standard_normal(2 * m)
+    a, b = draws[:m], draws[m:]
+    spectrum = np.empty(half + 1, dtype=complex)
+    spectrum.real = a[: half + 1]
+    spectrum.real[1:] += a[: half - 1 : -1]
+    spectrum.real[0] *= 2.0
+    spectrum.imag = b[: half + 1]
+    spectrum.imag[1:] -= b[: half - 1 : -1]
+    spectrum.imag[0] = 0.0
+    spectrum *= 0.5 * sqrt_eigs
+    path = np.sqrt(m) * np.fft.irfft(spectrum, m)[:n] + mean
     return SamplePath(n=n, values=path, seed=seed, model_id=model.model_id, added_mean=mean)
 
 

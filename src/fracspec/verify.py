@@ -39,7 +39,8 @@ MAX_PROBES = 1024
 #: limit-process draws calibrating the mc band half-width u0
 MC_CALIBRATION_DRAWS = 2000
 
-#: most floats in the probes x draws block of limit-process draws (256 MB)
+#: most floats in the probes x draws block of limit-process draws, and in the
+#: per-replication records an mc run keeps until it ends (256 MB)
 _MAX_CALIBRATION_FLOATS = 1 << 25
 
 #: (file name, CSV header) of each table of the mc bundle, in writing order
@@ -51,6 +52,13 @@ MC_TABLES = (
     ("holder.csv", "n,h,q95_ratio"),
     ("confidence.csv", "n,delta,u0,coverage"),
 )
+
+
+def _most_mc_replications(num_probes: int) -> int:
+    """Most mc replications for num_probes probe_lambdas: each replication keeps
+    its probe values, three sup statistics and the Holder moduli until the run
+    ends, and all of them stay within _MAX_CALIBRATION_FLOATS."""
+    return _MAX_CALIBRATION_FLOATS // (num_probes + 3 + len(DEFAULT_H_GRID))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +95,12 @@ class McConfig:
             )
         if any(b <= a for a, b in zip(probes, probes[1:])):
             raise DomainError("probe_lambdas must be strictly increasing")
+        most = _most_mc_replications(len(probes))
+        if int(self.replications) > most:
+            raise DomainError(
+                f"replications must be at most {most} for {len(probes)} probe_lambdas, "
+                f"got {self.replications!r}"
+            )
         if not (0.0 < self.delta_confidence < 1.0):
             raise DomainError(
                 f"delta_confidence must lie in (0, 1), got {self.delta_confidence!r}"

@@ -254,6 +254,40 @@ class TestPlumbing:
         assert f"replications must be at least 2, got {replications}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("count", [2, 1024])
+    @pytest.mark.parametrize(
+        "model", ["kind = constant\nc = 1\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
+        ids=["constant", "unreadable-model"],
+    )
+    def test_mc_replications_above_bound_is_config_error(self, tmp_path, capsys, count, model):
+        # every replication keeps count + 8 floats until the run ends, and an
+        # unbounded count failed only after the whole run; the check runs
+        # before the model is read
+        probes = " ".join(f"{x:.17g}" for x in np.linspace(0.005, 2.0 * math.pi, count))
+        most = 2**25 // (count + 8)
+        cfg = _write(
+            tmp_path / "m.ini",
+            f"[model]\n{model}\n[mc]\nalpha = 0.25\nn_list = 64\n"
+            f"probe_lambdas = {probes}\nreplications = {most + 1}\n",
+        )
+        out = tmp_path / "o"
+        assert _run("mc", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"fracspec: error: replications must be at most {most}, got {most + 1}\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("count", [2, 1024])
+    def test_mc_replications_at_bound_are_accepted(self, tmp_path, count):
+        probes = " ".join(f"{x:.17g}" for x in np.linspace(0.005, 2.0 * math.pi, count))
+        most = 2**25 // (count + 8)
+        sections = {
+            "model": {"kind": "constant", "c": "1"},
+            "mc": {"alpha": "0.25", "n_list": "64", "probe_lambdas": probes,
+                   "replications": str(most)},
+        }
+        assert cli.build_mc_config(sections, tmp_path, None).replications == most
+
     def test_mc_two_replications_run(self, tmp_path, capsys):
         cfg = _write(
             tmp_path / "m.ini",

@@ -44,6 +44,26 @@ class TestPeriodogram:
         energy = float(path.values @ path.values) / path.n
         assert mass == pytest.approx(energy, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "n,num_points",
+        [(16384, 65537), (1000, 4097), (1024, 1025), (5000, 1025)],
+        ids=["band", "padded", "n-eq-m", "folded"],
+    )
+    def test_matches_fold_oracle(self, n, num_points):
+        # the fold of the data onto m = num_points - 1 bins, summed in index
+        # order; for n <= m it is the zero padding, and the result is bitwise
+        # the same, a -0.0 in the data included
+        values = np.random.default_rng(n).standard_normal(n)
+        values[n // 2] = -0.0
+        path = gsim.SamplePath(n=n, values=values, seed=0, model_id="x")
+        m = num_points - 1
+        folded = np.zeros(m)
+        np.add.at(folded, np.arange(n) % m, values)
+        transform = np.fft.rfft(folded)
+        half = (transform.real**2 + transform.imag**2) / (TWO_PI * n)
+        oracle = np.concatenate((half, half[(m - 1) // 2 : 0 : -1], half[:1]))
+        assert np.array_equal(estimate.periodogram(path, num_points).values, oracle)
+
     @given(
         n=st.integers(1, 300),
         num_points=st.integers(2, 2000),

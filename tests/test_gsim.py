@@ -5,10 +5,15 @@ import pytest
 
 from fracspec import TWO_PI
 from fracspec import gsim, specmodel
+from fracspec.grid import GridFunction
 from fracspec.specmodel import SpectralModel
 
 CONST = SpectralModel.constant(1.0 / TWO_PI)
 AR1 = SpectralModel.ar1(0.5)
+_LAM = np.linspace(0.0, TWO_PI, 257)
+CUSTOM = SpectralModel.custom(
+    GridFunction((2.0 + np.cos(_LAM)) / (4.0 * math.pi**2), periodic=True)
+)
 
 
 class TestRng:
@@ -21,6 +26,15 @@ class TestRng:
         a = gsim.make_rng(7, 0).standard_normal(5)
         b = gsim.make_rng(7, 1).standard_normal(5)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("m", [2, 8, 2048, 32768])
+    def test_one_draw_is_two_successive_draws(self, m):
+        # sample_path draws a and b as one block of 2m normals; the stream
+        # gives the same values as two draws of m in a row
+        rng = gsim.make_rng(11, 5)
+        first, second = rng.standard_normal(m), rng.standard_normal(m)
+        both = gsim.make_rng(11, 5).standard_normal(2 * m)
+        assert np.array_equal(both, np.concatenate((first, second)))
 
 
 class TestSamplePath:
@@ -49,6 +63,26 @@ class TestSamplePath:
         acc /= reps
         exact = specmodel.autocovariance_batch(model, 2)
         np.testing.assert_allclose(acc, exact, atol=0.05)
+
+    @pytest.mark.parametrize(
+        "model",
+        [CONST, AR1, SpectralModel.ar1(-0.5), CUSTOM],
+        ids=["constant", "ar1+", "ar1-", "custom"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 257, 1000, 2048, 16384])
+    @pytest.mark.parametrize("mean", [0.0, 2.5])
+    def test_matches_complex_ifft_oracle(self, model, n, mean):
+        # oracle: sqrt(m) Re ifft(sqrt(eigs) (a + i b))[:n] on the full spectrum
+        # of the embedding row, a then b drawn from the path's stream
+        seed, stream = 13, 4
+        m = 2 * (gsim._embedding_sqrt_eigs(model, n).size - 1)
+        r = specmodel.autocovariance_batch(model, m // 2)
+        eigs = np.fft.fft(np.concatenate((r, r[-2:0:-1]))).real
+        rng = gsim.make_rng(seed, stream)
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        oracle = np.sqrt(m) * np.fft.ifft(np.sqrt(np.clip(eigs, 0.0, None)) * z).real[:n] + mean
+        path = gsim.sample_path(model, n, seed, mean=mean, stream=stream).values
+        assert np.max(np.abs(path - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_csv_round_trip(self, tmp_path):
         path = gsim.sample_path(AR1, 32, seed=9, mean=1.0)

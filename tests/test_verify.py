@@ -57,6 +57,18 @@ class TestMcConfig:
         payload = json.loads(report.to_json_text(), parse_constant=refuse)
         assert len(payload["covariance"]) == 3
 
+    @pytest.mark.parametrize("count", [2, verify.MAX_PROBES])
+    def test_replications_bounded_by_kept_floats(self, count):
+        # each replication keeps count + 8 floats until the run ends; an
+        # unbounded count used to fail in the final concatenation, after the run
+        probes = tuple(np.linspace(0.005, TWO_PI, count))
+        most = 2**25 // (count + 8)
+        assert _config(probe_lambdas=probes, replications=most).replications == most
+        with pytest.raises(
+            DomainError, match=f"at most {most} for {count} probe_lambdas, got {most + 1}"
+        ):
+            _config(probe_lambdas=probes, replications=most + 1)
+
     def test_rejects_unsorted_probes(self):
         with pytest.raises(DomainError):
             _config(probe_lambdas=(3.0, 1.0))
