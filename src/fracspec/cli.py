@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, specmodel, verify
 from .errors import ConfigError, DomainError, NumericalError
 from .estimate import MAX_GRID_POINTS, MAX_N, default_grid_points, frac_estimate, periodogram
-from .grid import TWO_PI, csv_table
+from .grid import TWO_PI, GridFunction, csv_table
 from .gsim import SamplePath, sample_path
 from .specmodel import SpectralModel, limit_covariance
 
@@ -200,12 +200,19 @@ def _probe_lambdas(section: dict, default: tuple[float, ...]) -> tuple[float, ..
 def _model_from(sections: dict, config_dir: Path) -> SpectralModel:
     if "model" not in sections:
         raise ConfigError("config is missing required section [model]")
-    return SpectralModel.from_mapping(sections["model"], base_dir=config_dir)
+    section = sections["model"]
+    kind = _get(section, "kind", str)
+    if kind == "constant":
+        return SpectralModel.constant(_get(section, "c", float))
+    if kind == "ar1":
+        return SpectralModel.ar1(_get(section, "rho", float))
+    if kind == "custom_grid":
+        path = config_dir / _get(section, "grid_csv_path", str)
+        return SpectralModel.custom(GridFunction.from_csv(path, periodic=True))
+    raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def build_mc_config(
-    sections: dict, config_dir: Path, seed_override: int | None
-) -> verify.McConfig:
+def build_mc_config(sections: dict, seed_override: int | None) -> verify.McConfig:
     mc = sections.get("mc", {})
     grid_points = _grid_points(mc, "grid_points", 0) or None
     n_list = _n_list(mc)
@@ -215,10 +222,8 @@ def build_mc_config(
     replications = _size(
         mc, "replications", least=2, most=verify._most_mc_replications(len(probes))
     )
-    model = _model_from(sections, config_dir)
     seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
     return verify.McConfig(
-        model=model,
         alpha=_get(mc, "alpha", float),
         n_list=n_list,
         replications=replications,
@@ -323,8 +328,9 @@ def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Itera
 
 
 def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
-    config = build_mc_config(sections, config_dir, args.seed)
+    config = build_mc_config(sections, args.seed)
     threads = _resolve_threads(args.threads)
+    model = _model_from(sections, config_dir)
     grid_sizes = {
         "grid_points": config.grid_points or "auto",
         "n_list": " ".join(str(n) for n in config.n_list),
@@ -332,7 +338,7 @@ def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator
     header = _header(sections, config.seed, grid_sizes)
 
     def texts() -> Iterator[str]:
-        report = verify.run_monte_carlo(config, threads=threads)
+        report = verify.run_monte_carlo(model, config, threads=threads)
         yield report.to_json_text() + "\n"
         yield from report.csv_tables(header).values()
 
@@ -342,26 +348,12 @@ def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator
 def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     cf = sections.get("confidence", {})
     num_probes = _get(cf, "num_probes", int, verify.BAND_PROBES)
-    if not 1 <= num_probes <= verify.MAX_PROBES:
-        raise ConfigError(
-            f"num_probes must be between 1 and {verify.MAX_PROBES}, got {num_probes}"
-        )
     n = _size(cf, "n", most=MAX_N)
-    reps = _size(cf, "replications", 400)
+    reps = _get(cf, "replications", int, 400)
     alpha = _alpha(cf)
     delta = _get(cf, "delta", float, 0.05)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must lie in (0, 1), got {delta!r}")
     draws = _get(cf, "calibration_draws", int, 5000)
-    if draws < 1000:
-        raise ConfigError(f"calibration_draws must be >= 1000, got {draws!r}")
-    # the calibration draws are one num_probes x draws block of floats
-    most_draws = verify._MAX_CALIBRATION_FLOATS // num_probes
-    if draws > most_draws:
-        raise ConfigError(
-            f"calibration_draws must be at most {most_draws} for {num_probes} probes, "
-            f"got {draws}"
-        )
+    verify._check_band(delta, draws, reps, num_probes)
     model = _model_from(sections, config_dir)
     seed = args.seed if args.seed is not None else _get(cf, "seed", int, 0)
     header = _header(sections, seed, {"n": n, "num_probes": num_probes})

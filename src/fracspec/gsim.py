@@ -12,6 +12,7 @@ independently of scheduling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -79,9 +80,12 @@ class SamplePath:
                     meta[key.strip()] = val.strip()
             elif line and line != "eta":
                 try:
-                    vals.append(float(line))
+                    value = float(line)
                 except ValueError:
-                    raise DomainError(f"{path}: bad sample value {line!r}") from None
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise DomainError(f"{path}: bad sample value {line!r}")
+                vals.append(value)
         for key in ("seed", "model_id"):
             if key not in meta:
                 raise DomainError(f"{path}: missing '# {key} = ...' line")

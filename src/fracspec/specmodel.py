@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -96,32 +95,6 @@ class SpectralModel:
     def density_grid(self, num_points: int) -> GridFunction:
         lam = np.linspace(0.0, TWO_PI, num_points)
         return GridFunction(self.density(lam), periodic=True)
-
-    @classmethod
-    def from_mapping(cls, mapping: dict, base_dir: Path | None = None) -> "SpectralModel":
-        known = {"kind", "c", "rho", "grid_csv_path"}
-        unknown = set(mapping) - known
-        if unknown:
-            raise DomainError(f"unknown model key(s): {sorted(unknown)}")
-        kind = mapping.get("kind")
-        if kind is None:
-            raise DomainError("model config is missing required key 'kind'")
-        if kind == "constant":
-            if "c" not in mapping:
-                raise DomainError("constant model config is missing key 'c'")
-            return cls.constant(float(mapping["c"]))
-        if kind == "ar1":
-            if "rho" not in mapping:
-                raise DomainError("ar1 model config is missing key 'rho'")
-            return cls.ar1(float(mapping["rho"]))
-        if kind == "custom_grid":
-            if "grid_csv_path" not in mapping:
-                raise DomainError("custom_grid model config is missing key 'grid_csv_path'")
-            path = Path(mapping["grid_csv_path"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            return cls.custom(GridFunction.from_csv(path, periodic=True))
-        raise DomainError(f"unknown model kind {kind!r}")
 
 
 def autocovariance_batch(model: SpectralModel, mmax: int) -> np.ndarray:

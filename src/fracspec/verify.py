@@ -63,9 +63,9 @@ def _most_mc_replications(num_probes: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
-    """One Monte Carlo experiment: model, estimator order, sizes, replication plan."""
+    """One Monte Carlo plan: estimator order, sizes, replications. It holds no
+    model, so it is checked before the model is read; run_monte_carlo takes both."""
 
-    model: SpectralModel
     alpha: float
     n_list: tuple[int, ...]
     replications: int
@@ -260,15 +260,14 @@ def _fejer_bias(model: SpectralModel, n: int) -> tuple[float, float]:
     return sup_err, bound
 
 
-def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
-    """Run the full replication plan and aggregate every diagnostic.
+def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) -> McReport:
+    """Run the full replication plan on the model and aggregate every diagnostic.
 
     Replications are cut into blocks of at most 64 whatever the worker count,
     and blocks merge in order, so every thread count gives the same bytes.
     """
     from ._kstest import kstest_norm  # imported on use: the other verbs never load it
 
-    model = config.model
     alpha = config.alpha
     rep = config.replications
     report = McReport(
@@ -347,19 +346,9 @@ def run_monte_carlo(config: McConfig, threads: int = 1) -> McReport:
     return report
 
 
-def confidence_band(
-    model: SpectralModel,
-    alpha: float,
-    n: int,
-    delta: float,
-    calibration_draws: int,
-    seed: int,
-    replications: int = 400,
-    num_probes: int = BAND_PROBES,
-    real_symmetry: bool = False,
-) -> tuple[float, float]:
-    """Sup-norm band half-width u0 (via simulated limit-process quantiles) and
-    the empirical coverage of the band over fresh replications."""
+def _check_band(delta: float, calibration_draws: int, replications: int, num_probes: int) -> None:
+    """Refuse a band plan out of bounds; the calibration draws are one
+    num_probes x calibration_draws block of floats."""
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     if calibration_draws < 1000:
@@ -373,6 +362,22 @@ def confidence_band(
             f"calibration_draws must be at most {_MAX_CALIBRATION_FLOATS // num_probes} "
             f"for {num_probes} probes, got {calibration_draws!r}"
         )
+
+
+def confidence_band(
+    model: SpectralModel,
+    alpha: float,
+    n: int,
+    delta: float,
+    calibration_draws: int,
+    seed: int,
+    replications: int = 400,
+    num_probes: int = BAND_PROBES,
+    real_symmetry: bool = False,
+) -> tuple[float, float]:
+    """Sup-norm band half-width u0 (via simulated limit-process quantiles) and
+    the empirical coverage of the band over fresh replications."""
+    _check_band(delta, calibration_draws, replications, num_probes)
     probes = _band_probes(num_probes)
     u0 = _band_half_width(
         model, alpha, num_probes, real_symmetry, seed, calibration_draws, delta

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspec import GridFunction, __version__, cli, specmodel, verify
+from fracspec import GridFunction, __version__, cli, gsim, specmodel, verify
 from fracspec.cli import main
 
 CONST_C = 1.0 / (2.0 * math.pi)
@@ -286,7 +286,7 @@ class TestPlumbing:
             "mc": {"alpha": "0.25", "n_list": "64", "probe_lambdas": probes,
                    "replications": str(most)},
         }
-        assert cli.build_mc_config(sections, tmp_path, None).replications == most
+        assert cli.build_mc_config(sections, None).replications == most
 
     def test_mc_two_replications_run(self, tmp_path, capsys):
         cfg = _write(
@@ -310,6 +310,63 @@ class TestPlumbing:
         assert _run("fejer", "--config", str(cfg), "--out", str(out)) == 1
         assert "n_list must hold positive integers" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("kind = constant\nc = abc\n", "invalid value for 'c': 'abc'"),
+            ("kind = ar1\nrho = x\n", "invalid value for 'rho': 'x'"),
+            ("kind = constant\n", "missing required key 'c'"),
+            ("kind = ar1\n", "missing required key 'rho'"),
+            ("kind = custom_grid\n", "missing required key 'grid_csv_path'"),
+            ("c = 1\n", "missing required key 'kind'"),
+            ("kind = spline\nc = 1\n", "unknown model kind 'spline'"),
+        ],
+        ids=["c-abc", "rho-x", "no-c", "no-rho", "no-grid_csv_path", "no-kind", "unknown-kind"],
+    )
+    def test_bad_model_section_is_config_error(self, tmp_path, capsys, model, message):
+        # a value that is not a number used to escape as a ValueError traceback
+        cfg = _write(
+            tmp_path / "t.ini", f"[model]\n{model}\n[truth]\nalpha = 0.25\nnum_points = 17\n"
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / "theta.csv", "keep\n")
+        assert _run("truth", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"fracspec: error: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["theta.csv"]
+        assert (out / "theta.csv").read_text() == "keep\n"
+
+    def test_missing_model_section_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "t.ini", "[truth]\nalpha = 0.25\nnum_points = 17\n")
+        out = tmp_path / "o"
+        assert _run("truth", "--config", str(cfg), "--out", str(out)) == 1
+        assert "missing required section [model]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("alpha = 0.6", "alpha"),
+            ("alpha = 0.25\ndelta_confidence = 1.5", "delta_confidence"),
+            ("alpha = 0.25\nprobe_lambdas = 3.0 1.0", "probe_lambdas"),
+        ],
+        ids=["alpha", "delta_confidence", "unsorted-probes"],
+    )
+    def test_mc_plan_is_checked_before_the_model(self, tmp_path, capsys, line, key):
+        # with a grid CSV that is missing these used to exit 3, an i/o error
+        cfg = _write(
+            tmp_path / "m.ini",
+            "[model]\nkind = custom_grid\ngrid_csv_path = missing.csv\n\n"
+            f"[mc]\n{line}\nn_list = 64\nreplications = 2\n",
+        )
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / "report.json", "keep\n")
+        assert _run("mc", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"fracspec: error: {key} must")
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        assert (out / "report.json").read_text() == "keep\n"
 
     @pytest.mark.parametrize(
         "verb, body, present, compute",
@@ -475,6 +532,22 @@ class TestSimulate:
             _run("simulate", "--config", str(sim_ini), "--out", str(out), "--force") == 0
         )
 
+    def test_indefinite_embedding_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # a tabulated spike whose first circulant embedding is indefinite at n = 4,
+        # with no padding doubling allowed
+        lam = np.linspace(0.0, 2.0 * math.pi, 17)
+        spike = 0.001 + np.exp(-((np.minimum(lam, 2.0 * math.pi - lam) / 0.5) ** 2))
+        _write(tmp_path / "spike.csv", GridFunction(spike, periodic=True).to_csv_text())
+        cfg = _write(
+            tmp_path / "s.ini",
+            "[model]\nkind = custom_grid\ngrid_csv_path = spike.csv\n\n[simulate]\nn = 4\n",
+        )
+        monkeypatch.setattr(gsim, "MAX_DOUBLINGS", 0)
+        out = tmp_path / "o"
+        assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+        assert "circulant embedding stayed indefinite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_seed_override_changes_output(self, sim_ini, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         _run("simulate", "--config", str(sim_ini), "--out", str(out1))
@@ -536,6 +609,13 @@ class TestMalformedInput:
         text = "# seed = 0\n# model_id = ar1(rho=0.5)\neta\n0.5\nabc\n1.5\n"
         assert self._estimate(tmp_path, text) == 1
         assert "'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_path_csv_with_non_finite_row(self, tmp_path, capsys, value):
+        # these used to exit 2, a numerical error, after the path was read
+        text = f"# seed = 0\n# model_id = ar1(rho=0.5)\neta\n0.5\n{value}\n1.5\n"
+        assert self._estimate(tmp_path, text) == 1
+        assert f"bad sample value '{value}'" in capsys.readouterr().err
 
     def test_path_csv_without_seed_line(self, tmp_path, capsys):
         text = "# model_id = ar1(rho=0.5)\neta\n0.5\n-0.25\n1.5\n"

@@ -94,6 +94,45 @@ class TestSamplePath:
         assert back.model_id == path.model_id
 
 
+def _spike(width: float) -> SpectralModel:
+    """A fresh 17-point tabulated spike 0.001 + exp(-(d / width)^2), d the
+    circular distance to 0: its first circulant embeddings are indefinite."""
+    lam = np.linspace(0.0, TWO_PI, 17)
+    dist = np.minimum(lam, TWO_PI - lam)
+    values = 0.001 + np.exp(-((dist / width) ** 2))
+    return SpectralModel.custom(GridFunction(values, periodic=True))
+
+
+def _embedding_eigs(model: SpectralModel, m: int) -> np.ndarray:
+    r = specmodel.autocovariance_batch(model, m // 2)
+    return np.fft.rfft(np.concatenate((r, r[-2:0:-1]))).real
+
+
+class TestEmbeddingDoublings:
+    @pytest.mark.parametrize(
+        "width, n, first, doublings", [(0.5, 4, 8, 1), (0.05, 2, 4, gsim.MAX_DOUBLINGS)]
+    )
+    def test_indefinite_embedding_is_doubled(self, width, n, first, doublings):
+        # every embedding below the doubled size m fails the check, and m passes
+        model = _spike(width)
+        m = first * 2**doublings
+        for size in (first * 2**k for k in range(doublings)):
+            eigs = _embedding_eigs(model, size)
+            assert eigs.min() < gsim.EIG_TOL * eigs.max()
+        assert _embedding_eigs(model, m).min() >= 0.0
+        assert gsim._embedding_sqrt_eigs(model, n).size == m // 2 + 1
+        path = gsim.sample_path(model, n, seed=3)
+        assert path.n == n and np.all(np.isfinite(path.values))
+
+    def test_no_doubling_left_is_sampling_error(self, monkeypatch):
+        monkeypatch.setattr(gsim, "MAX_DOUBLINGS", 0)
+        with pytest.raises(
+            gsim.SamplingError,
+            match=r"indefinite for model custom_grid\(points=17\) at n=4 after 0 padding",
+        ):
+            gsim.sample_path(_spike(0.5), 4, seed=3)
+
+
 class TestLimitProcess:
     def test_covariance_of_draws(self):
         probes = np.array([math.pi / 2, math.pi, TWO_PI])

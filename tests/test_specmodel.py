@@ -102,10 +102,6 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             SpectralModel.custom(GridFunction(odd, periodic=True))
 
-    def test_from_mapping_rejects_unknown_keys(self):
-        with pytest.raises(DomainError):
-            SpectralModel.from_mapping({"kind": "constant", "c": "1", "weird": "1"})
-
 
 class TestAutocovariance:
     def test_constant_is_white_noise(self):
@@ -263,6 +259,25 @@ class TestLimitCovariance:
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(DomainError):
             specmodel.theta_point(CONST, 0.5, math.pi, math.pi)
+
+
+class TestPsdCholesky:
+    """The jitter fallback of the limit covariance's factorization."""
+
+    def test_singular_matrix_factors_after_jitter(self):
+        ones = np.ones((3, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(ones)
+        factor = specmodel._psd_cholesky(ones)
+        assert np.max(np.abs(factor @ factor.T - ones)) <= 1e-13
+
+    def test_negative_eigenvalue_fails_after_eight_attempts(self, monkeypatch):
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or real(a))
+        with pytest.raises(NumericalError, match="jitter escalation"):
+            specmodel._psd_cholesky(np.diag([1.0, -1.0, 2.0]))
+        assert len(calls) == 8
 
 
 PAIRS = [

@@ -16,7 +16,7 @@ AR1 = SpectralModel.ar1(0.5)
 
 
 def _config(**kw) -> verify.McConfig:
-    base = dict(model=CONST, alpha=0.25, n_list=(128,), replications=20, seed=3)
+    base = dict(alpha=0.25, n_list=(128,), replications=20, seed=3)
     base.update(kw)
     return verify.McConfig(**base)
 
@@ -53,7 +53,7 @@ class TestMcConfig:
         def refuse(token):
             raise ValueError(f"non-finite {token} in report.json")
 
-        report = verify.run_monte_carlo(_config(n_list=(64,), replications=2))
+        report = verify.run_monte_carlo(CONST, _config(n_list=(64,), replications=2))
         payload = json.loads(report.to_json_text(), parse_constant=refuse)
         assert len(payload["covariance"]) == 3
 
@@ -104,7 +104,7 @@ class TestCenteredProcesses:
 
 @pytest.fixture(scope="module")
 def small_report():
-    return verify.run_monte_carlo(_config(n_list=(128,), replications=60))
+    return verify.run_monte_carlo(CONST, _config(n_list=(128,), replications=60))
 
 
 class TestRunMonteCarlo:
@@ -129,8 +129,8 @@ class TestRunMonteCarlo:
 
     def test_deterministic(self):
         cfg = _config(replications=10)
-        a = verify.run_monte_carlo(cfg).to_json_text()
-        b = verify.run_monte_carlo(cfg).to_json_text()
+        a = verify.run_monte_carlo(CONST, cfg).to_json_text()
+        b = verify.run_monte_carlo(CONST, cfg).to_json_text()
         assert a == b
 
     def test_csv_tables_have_headers(self, small_report):
@@ -142,7 +142,7 @@ class TestRunMonteCarlo:
         # empirical n * Var at interior probes matches the mirror-corrected
         # covariance (the even-weight constant is 2x larger there)
         cfg = _config(n_list=(512,), replications=300, seed=21)
-        rep = verify.run_monte_carlo(cfg)
+        rep = verify.run_monte_carlo(CONST, cfg)
         for (n, lam, mu, emp, _theory, _rel) in rep.cov_rows:
             sym = specmodel.theta_point(CONST, 0.25, lam, mu, real_symmetry=True)
             assert emp == pytest.approx(sym, rel=0.35)
