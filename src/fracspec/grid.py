@@ -3,6 +3,7 @@ one CSV writer every output goes through."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -98,7 +99,9 @@ class GridFunction:
             try:
                 lam, val = map(float, row.split(","))
             except ValueError:  # a non-numeric field, or not exactly two of them
-                raise DomainError(f"bad CSV row: {row!r}") from None
+                lam = val = math.nan
+            if not (math.isfinite(lam) and math.isfinite(val)):
+                raise DomainError(f"bad CSV row: {row!r}")
             pairs.append((lam, val))
         lams, vals = np.array(pairs).reshape(-1, 2).T
         out = cls(vals, periodic=periodic)

@@ -131,18 +131,33 @@ def spectral_profile(model: SpectralModel, num_points: int) -> GridFunction:
     return frac_truth_profile(model, 0.0, num_points)
 
 
-def frac_truth_profile(model: SpectralModel, alpha: float, num_points: int) -> GridFunction:
-    """F^(alpha) on a uniform grid via high-resolution product integration; exact if constant."""
+def frac_truth_profile(
+    model: SpectralModel, alpha: float, num_points: int, step: int = 1
+) -> GridFunction:
+    """F^(alpha) at every `step`-th point of a uniform grid of num_points
+    points (`step` must divide num_points - 1), via high-resolution product
+    integration; exact if constant.
+
+    With step > 1 on a grid whose points all lie on the TRUTH_POINTS grid,
+    it is frac_integral's strided evaluation there, and the full profile is
+    never built; it agrees with the full profile to a few ulps. Otherwise
+    the full profile is interpolated onto the grid and sliced.
+    """
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
+    if step < 1 or (num_points - 1) % step:
+        raise DomainError(f"step must divide {num_points - 1}, got {step!r}")
     if model.kind == "constant":
-        lam = np.linspace(0.0, TWO_PI, num_points)
+        lam = np.linspace(0.0, TWO_PI, num_points)[::step]
         return GridFunction(model.c * lam ** (1.0 - alpha) / math.gamma(2.0 - alpha))
     dens = model.density_grid(max(num_points, TRUTH_POINTS))
+    if step > 1 and (TRUTH_POINTS - 1) % (num_points - 1) == 0:
+        stride = (TRUTH_POINTS - 1) // (num_points - 1) * step
+        return fracops.frac_integral(dens, 1.0 - alpha, stride)
     prof = fracops.frac_integral(dens, 1.0 - alpha)
-    if prof.num_points == num_points:
-        return prof
-    return GridFunction(prof.interp(np.linspace(0.0, TWO_PI, num_points)))
+    if prof.num_points != num_points:
+        prof = GridFunction(prof.interp(np.linspace(0.0, TWO_PI, num_points)))
+    return GridFunction(prof.values[::step]) if step > 1 else prof
 
 
 def fejer_kernel(n: int, lam) -> np.ndarray | float:

@@ -39,8 +39,9 @@ MAX_PROBES = 1024
 #: limit-process draws calibrating the mc band half-width u0
 MC_CALIBRATION_DRAWS = 2000
 
-#: most floats in the probes x draws block of limit-process draws, and in the
-#: per-replication records an mc run keeps until it ends (256 MB)
+#: most floats in the probes x draws block of limit-process draws (256 MB; the
+#: calibration holds about two such blocks at once, so 512 MB at the bound), and
+#: in the per-replication records an mc run keeps until it ends
 _MAX_CALIBRATION_FLOATS = 1 << 25
 
 #: (file name, CSV header) of each table of the mc bundle, in writing order
@@ -384,12 +385,12 @@ def confidence_band(
     )
 
     num_points = default_grid_points(n)
-    # the estimate is needed only at the probes: when they fall on every
-    # step-th grid point, compute it there alone
+    # the estimate and the truth are needed only at the probes: when they fall
+    # on every step-th grid point, compute them there alone
     step = (num_points - 1) // num_probes if (num_points - 1) % num_probes == 0 else 1
     lam = np.linspace(0.0, TWO_PI, (num_points - 1) // step + 1)
-    truth = specmodel.frac_truth_profile(model, alpha, num_points)
-    truth_probes = np.interp(probes, lam, truth.values[::step])
+    truth = specmodel.frac_truth_profile(model, alpha, num_points, step)
+    truth_probes = np.interp(probes, lam, truth.values)
     hit = 0
     half_width = u0 / math.sqrt(n)
     streams = range(_STREAM_COVERAGE, _STREAM_COVERAGE + replications)

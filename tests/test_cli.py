@@ -640,6 +640,19 @@ class TestMalformedInput:
         assert _run("truth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         assert "'3.14,x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_custom_grid_csv_with_non_finite_value(self, tmp_path, capsys, value):
+        # refused by the row, like 'abc': the grid's own finite check names no row
+        row = f"3.141592653589793,{value}"
+        grid_csv = _write(tmp_path / "grid.csv", f"lambda,value\n0,1\n{row}\n6.283185307179586,1\n")
+        cfg = _write(
+            tmp_path / "t.ini",
+            f"[model]\nkind = custom_grid\ngrid_csv_path = {grid_csv}\n\n"
+            "[truth]\nalpha = 0.25\nnum_points = 65\n",
+        )
+        assert _run("truth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert f"bad CSV row: '{row}'" in capsys.readouterr().err
+
 
 class TestTruthVerb:
     def test_constant_frac_derivative_value(self, tmp_path):

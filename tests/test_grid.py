@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspec import DomainError, GridFunction, TWO_PI
+from fracspec.grid import even_grid_function
 
 
 def test_values_are_read_only_copies():
@@ -11,6 +12,16 @@ def test_values_are_read_only_copies():
     g = GridFunction(src)
     src[0] = 99.0
     assert g.values[0] == 1.0
+    with pytest.raises(ValueError):
+        g.values[0] = 2.0
+
+
+@pytest.mark.parametrize("num_points, values", [(5, [3, 2, 1, 2, 3]), (6, [3, 2, 1, 1, 2, 3])])
+def test_even_grid_function_mirrors_into_its_own_values(num_points, values):
+    half = np.array([3.0, 2.0, 1.0])
+    g = even_grid_function(half, num_points)
+    assert g.values.tolist() == values and g.periodic
+    assert not np.shares_memory(g.values, half)
     with pytest.raises(ValueError):
         g.values[0] = 2.0
 

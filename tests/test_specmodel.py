@@ -156,6 +156,39 @@ class TestSpectralFunction:
             oracle, _ = quad(AR1.density, 0.0, lam, epsabs=1e-13, epsrel=1e-13)
             assert spectral.interp(lam) == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "num_points, step",
+        [(65537, 1024), (4097, 64), (4097, 16), (65537, 128), (3001, 3), (4097, 1)],
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.49])
+    def test_strided_profile_is_every_step_th_point(self, num_points, step, alpha):
+        # the strided evaluation on the truth grid sums in another order than
+        # the full grid's FFT: at most a few ulps of the largest value apart
+        for model in (CONST, AR1, SpectralModel.ar1(-0.9), _custom_model()):
+            full = specmodel.frac_truth_profile(model, alpha, num_points).values[::step]
+            got = specmodel.frac_truth_profile(model, alpha, num_points, step).values
+            np.testing.assert_allclose(got, full, rtol=0, atol=1e-14 * np.max(full))
+            if model is CONST or alpha == 0.0:
+                assert np.array_equal(got, full), model.kind
+
+    def test_strided_profile_computes_only_the_strided_points(self, monkeypatch):
+        steps = []
+        frac_integral = specmodel.fracops.frac_integral
+
+        def spy(g, order, step=1):
+            steps.append((g.num_points, step))
+            return frac_integral(g, order, step)
+
+        monkeypatch.setattr(specmodel.fracops, "frac_integral", spy)
+        specmodel.frac_truth_profile(AR1, 0.25, 4097, 64)
+        specmodel.frac_truth_profile(AR1, 0.25, 3001, 3)
+        assert steps == [(specmodel.TRUTH_POINTS, 1024), (specmodel.TRUTH_POINTS, 1)]
+
+    @pytest.mark.parametrize("step", [0, -1, 7])
+    def test_step_must_divide_the_grid(self, step):
+        with pytest.raises(DomainError, match=f"step must divide 4096, got {step}"):
+            specmodel.frac_truth_profile(AR1, 0.25, 4097, step)
+
 
 class TestFejer:
     def test_kernel_mass_is_one(self):
@@ -259,6 +292,25 @@ class TestLimitCovariance:
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(DomainError):
             specmodel.theta_point(CONST, 0.5, math.pi, math.pi)
+
+
+class TestPsdClipping:
+    def test_indefinite_matrix_is_projected(self, monkeypatch):
+        # Theta = [[1, 2], [2, 1]] has eigenvalues -1 and 3: the projection
+        # keeps 3 v v^T, v = (1, 1) / sqrt 2, whose factor needs the jitter
+        monkeypatch.setattr(
+            specmodel, "theta_point",
+            lambda model, alpha, lam, mu, real_symmetry=False: np.where(lam == mu, 1.0, 2.0),
+        )
+        cov = specmodel.limit_covariance(CONST, 0.25, [1.0, 2.0])
+        assert cov.clip_applied
+        np.testing.assert_allclose(cov.matrix, np.full((2, 2), 1.5), rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(cov.matrix).min() >= -1e-12
+        np.testing.assert_allclose(cov.factor @ cov.factor.T, cov.matrix, rtol=0, atol=1e-12)
+
+    def test_psd_matrix_is_not_clipped(self):
+        cov = specmodel.limit_covariance(AR1, 0.25, [1.0, 2.0, 3.0])
+        assert not cov.clip_applied
 
 
 class TestPsdCholesky:
