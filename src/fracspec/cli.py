@@ -152,12 +152,10 @@ def _grid_points(section: dict, key: str, default: int) -> int:
     return num_points
 
 
-def _size(
-    section: dict, key: str, default: int | None = None, most: float = math.inf, least: int = 1
-) -> int:
+def _size(section: dict, key: str, default: int | None = None, most: float = math.inf) -> int:
     size = _get(section, key, int, default)
-    if size < least:
-        raise ConfigError(f"{key} must be at least {least}, got {size}")
+    if size < 1:
+        raise ConfigError(f"{key} must be at least 1, got {size}")
     if size > most:
         raise ConfigError(f"{key} must be at most {most}, got {size}")
     return size
@@ -217,20 +215,16 @@ def build_mc_config(sections: dict, seed_override: int | None) -> verify.McConfi
     grid_points = _grid_points(mc, "grid_points", 0) or None
     n_list = _n_list(mc)
     probes = _probe_lambdas(mc, (math.pi / 2, math.pi))
-    # the sample covariance of the probes needs two replications; every
-    # replication's records are kept until the run ends
-    replications = _size(
-        mc, "replications", least=2, most=verify._most_mc_replications(len(probes))
-    )
     seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
+    # McConfig is the one check of replications and holder_delta
     return verify.McConfig(
         alpha=_get(mc, "alpha", float),
         n_list=n_list,
-        replications=replications,
+        replications=_get(mc, "replications", int),
         probe_lambdas=probes,
         seed=seed,
         tail_u_grid=_get(mc, "tail_u_grid", _float_list, verify.DEFAULT_TAIL_GRID),
-        holder_delta=_get(mc, "holder_delta", float, 0.0) or None,
+        holder_delta=_get(mc, "holder_delta", float) if "holder_delta" in mc else None,
         delta_confidence=_get(mc, "delta_confidence", float, 0.05),
         grid_points=grid_points,
     )

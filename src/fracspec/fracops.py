@@ -26,6 +26,11 @@ _SERIES_TERMS = 9
 # error scales with the largest output, and the outputs near x = 0 are small
 _DIRECT_POINTS = 64
 
+# floats in the spectra of one group of phases of the phase-split FFT, 256 KiB
+# each: with the weights' series beside them a call on 65,537 points peaks at
+# 1.4-1.7 MiB; groups four times larger ran slower and raised mc's peak RSS
+_PHASE_FLOATS = 1 << 15
+
 
 def _fft_length(target: int) -> int:
     """Smallest 2^a 3^b 5^c >= target, the length scipy.fft.next_fast_len(target, True) picks."""
@@ -108,15 +113,50 @@ def _block_weights(order: float, n: int, step: int) -> tuple[np.ndarray, np.ndar
     return blocks, b, diagonal
 
 
+def _phase_split_conv(gamma: float, data: np.ndarray, step: int) -> np.ndarray:
+    """Every step-th output of the product-integration convolution of the
+    central weights a with data = v[1:], P = data.size / step outputs.
+
+    Output k sums a[k step - 1 - i] data[i] over i < k step. With i = c step + t
+    (a polyphase split) that is sum over t of (A[:, t] * V[:, t])[k - 1], with
+    A[d, t] = a[(d + 1) step - 1 - t] and V[c, t] = data[c step + t]: step
+    convolutions of length P, which add in the frequency domain, so one inverse
+    real FFT of length >= 2P - 1 gives all P outputs. The weight and data FFTs
+    are built for groups of phases whose spectra hold about _PHASE_FLOATS
+    floats; nothing is cached. The outputs inside _DIRECT_POINTS are summed
+    directly, as on the full grid.
+    """
+    p = data.size // step
+    size = _fft_length(2 * p - 1)
+    phases = data.reshape(p, step).T
+    ends = np.arange(1, p + 1) * step - 1
+    group = max(1, _PHASE_FLOATS // size)
+    spectrum = np.zeros(size // 2 + 1, dtype=complex)
+    for t0 in range(0, step, group):
+        index = ends - np.arange(t0, min(t0 + group, step))[:, None]
+        weights = _central_weights(gamma, np.maximum(index, 1).ravel()).reshape(index.shape)
+        weights[index == 0] = 1.0
+        product = np.fft.rfft(weights, size)
+        product *= np.fft.rfft(phases[t0 : t0 + group], size)
+        spectrum += product.sum(axis=0)
+    conv = np.fft.irfft(spectrum, size)[:p]
+    head = min(_DIRECT_POINTS, data.size) // step * step
+    if head:
+        a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, head))))
+        conv[: head // step] = np.convolve(a, data[:head])[step - 1 : head : step]
+    return conv
+
+
 def frac_integral(g: GridFunction, order: float, step: int = 1) -> GridFunction:
     """Riemann-Liouville fractional integral of the piecewise-linear interpolant.
 
     Returns the integral at every `step`-th grid point, a grid of
     (N - 1) / step + 1 points (`step` must divide N - 1); the value at x = 0
-    is 0. With P = (N - 1) / step output points and P^2 <= N - 1, the strided
-    values are one blocked matrix product of P x step weights with the data,
-    cheaper than the full-grid FFT convolution; otherwise the full grid is
-    computed and sliced.
+    is 0. With step = 1 the convolution is one full-grid real FFT against
+    cached weights. With step > 1, P = (N - 1) / step output points and
+    P^2 <= N - 1, the strided values are one blocked matrix product of
+    P x step cached weights with the data; otherwise they are the phase-split
+    FFT of _phase_split_conv, whose transforms have length about 2P, not 2N.
     """
     if not (0.0 < order <= 1.0) or not math.isfinite(order):
         raise DomainError(f"frac_integral order must be in (0, 1], got {order!r}")
@@ -132,24 +172,27 @@ def frac_integral(g: GridFunction, order: float, step: int = 1) -> GridFunction:
         out = np.concatenate(([0.0], np.cumsum(0.5 * h * (v[1:] + v[:-1]))))
         return GridFunction(out[::step])
     scale = h**order / math.gamma(order + 2.0)
-    if step > 1 and p * p <= n - 1:
+    if step == 1:
+        a_hat, a_head, b, size = _product_weights(order, n)
+        # full linear convolution of the central weights with v[1:]. The weights
+        # must stay the first operand: complex multiply is not bitwise commutative
+        # here, and a_hat * rfft(...) lets numpy reuse the temporary on the right
+        # as output once it passes 256 KiB, which swaps the operands
+        spectrum = np.fft.rfft(v[1:], size)
+        conv = np.fft.irfft(np.multiply(a_hat, spectrum, out=spectrum), size)[: n - 1]
+        # the first outputs are small and summed directly (see _DIRECT_POINTS)
+        k = a_head.size
+        conv[:k] = np.convolve(a_head, v[1 : k + 1])[:k]
+    elif p * p <= n - 1:
         # output k sums a[k step - 1 - i] v[1 + i] over i < k step; with
         # i = c step + t that is sum over d + c = k - 1 of G[d, c], G = A V^T
         blocks, b, diagonal = _block_weights(order, n, step)
         products = blocks @ v[1:].reshape(p, step).T
         conv = np.bincount(diagonal, weights=products.ravel(), minlength=2 * p - 1)[:p]
-        return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + conv))))
-    a_hat, a_head, b, size = _product_weights(order, n)
-    # full linear convolution of the central weights with v[1:]. The weights
-    # must stay the first operand: complex multiply is not bitwise commutative
-    # here, and a_hat * rfft(...) lets numpy reuse the temporary on the right
-    # as output once it passes 256 KiB, which swaps the operands
-    spectrum = np.fft.rfft(v[1:], size)
-    conv = np.fft.irfft(np.multiply(a_hat, spectrum, out=spectrum), size)[: n - 1]
-    # the first outputs are small and summed directly (see _DIRECT_POINTS)
-    k = a_head.size
-    conv[:k] = np.convolve(a_head, v[1 : k + 1])[:k]
-    return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + conv)))[::step])
+    else:
+        conv = _phase_split_conv(order + 1.0, v[1:], step)
+        b = _left_weights(order + 1.0, np.arange(step, n, step))
+    return GridFunction(np.concatenate(([0.0], scale * (b * v[0] + conv))))
 
 
 def frac_derivative(g: GridFunction, order: float) -> GridFunction:

@@ -138,10 +138,11 @@ def frac_truth_profile(
     points (`step` must divide num_points - 1), via high-resolution product
     integration; exact if constant.
 
-    With step > 1 on a grid whose points all lie on the TRUTH_POINTS grid,
-    it is frac_integral's strided evaluation there, and the full profile is
-    never built; it agrees with the full profile to a few ulps. Otherwise
-    the full profile is interpolated onto the grid and sliced.
+    On a grid whose points all lie on the TRUTH_POINTS grid it is
+    frac_integral's strided evaluation there, which computes only the points
+    asked for; it agrees with the full TRUTH_POINTS profile to a few ulps of
+    its largest value. Otherwise the full profile is interpolated onto the
+    grid and sliced.
     """
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
@@ -151,7 +152,7 @@ def frac_truth_profile(
         lam = np.linspace(0.0, TWO_PI, num_points)[::step]
         return GridFunction(model.c * lam ** (1.0 - alpha) / math.gamma(2.0 - alpha))
     dens = model.density_grid(max(num_points, TRUTH_POINTS))
-    if step > 1 and (TRUTH_POINTS - 1) % (num_points - 1) == 0:
+    if (TRUTH_POINTS - 1) % (num_points - 1) == 0:
         stride = (TRUTH_POINTS - 1) // (num_points - 1) * step
         return fracops.frac_integral(dens, 1.0 - alpha, stride)
     prof = fracops.frac_integral(dens, 1.0 - alpha)

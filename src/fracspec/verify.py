@@ -55,13 +55,6 @@ MC_TABLES = (
 )
 
 
-def _most_mc_replications(num_probes: int) -> int:
-    """Most mc replications for num_probes probe_lambdas: each replication keeps
-    its probe values, three sup statistics and the Holder moduli until the run
-    ends, and all of them stay within _MAX_CALIBRATION_FLOATS."""
-    return _MAX_CALIBRATION_FLOATS // (num_probes + 3 + len(DEFAULT_H_GRID))
-
-
 @dataclass(frozen=True, eq=False)
 class McConfig:
     """One Monte Carlo plan: estimator order, sizes, replications. It holds no
@@ -96,7 +89,9 @@ class McConfig:
             )
         if any(b <= a for a, b in zip(probes, probes[1:])):
             raise DomainError("probe_lambdas must be strictly increasing")
-        most = _most_mc_replications(len(probes))
+        # each replication keeps its probe values, three sup statistics and the
+        # Holder moduli until the run ends, all within _MAX_CALIBRATION_FLOATS
+        most = _MAX_CALIBRATION_FLOATS // (len(probes) + 3 + len(DEFAULT_H_GRID))
         if int(self.replications) > most:
             raise DomainError(
                 f"replications must be at most {most} for {len(probes)} probe_lambdas, "
@@ -111,7 +106,7 @@ class McConfig:
         delta = self.holder_delta
         if delta is None:
             delta = max(0.5 - self.alpha - 0.05, 0.01)
-        if not (0.0 < delta < 0.5 - self.alpha) and not (self.alpha == 0.0 and delta < 0.5):
+        if not (0.0 < delta < 0.5 - self.alpha):
             raise DomainError(
                 f"holder_delta must lie in (0, 1/2 - alpha) = (0, {0.5 - self.alpha:g}), "
                 f"got {self.holder_delta!r}"

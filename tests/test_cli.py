@@ -273,7 +273,8 @@ class TestPlumbing:
         out = tmp_path / "o"
         assert _run("mc", "--config", str(cfg), "--out", str(out)) == 1
         assert capsys.readouterr().err == (
-            f"fracspec: error: replications must be at most {most}, got {most + 1}\n"
+            f"fracspec: error: replications must be at most {most} for {count} "
+            f"probe_lambdas, got {most + 1}\n"
         )
         assert list(out.iterdir()) == []
 
@@ -350,8 +351,13 @@ class TestPlumbing:
             ("alpha = 0.6", "alpha"),
             ("alpha = 0.25\ndelta_confidence = 1.5", "delta_confidence"),
             ("alpha = 0.25\nprobe_lambdas = 3.0 1.0", "probe_lambdas"),
+            ("alpha = 0\nholder_delta = -0.2", "holder_delta"),
+            ("alpha = 0.25\nholder_delta = 0", "holder_delta"),
         ],
-        ids=["alpha", "delta_confidence", "unsorted-probes"],
+        ids=[
+            "alpha", "delta_confidence", "unsorted-probes", "holder-delta-at-alpha-0",
+            "holder-delta-0",
+        ],
     )
     def test_mc_plan_is_checked_before_the_model(self, tmp_path, capsys, line, key):
         # with a grid CSV that is missing these used to exit 3, an i/o error

@@ -136,10 +136,10 @@ class TestStridedIntegral:
     )
     @settings(max_examples=60, deadline=None)
     @example(num_out=64, step=64, order=0.75, seed=0)  # P^2 = N - 1: blocked product
-    @example(num_out=65, step=64, order=0.75, seed=0)  # P^2 > N - 1: FFT and slice
+    @example(num_out=65, step=64, order=0.75, seed=0)  # P^2 > N - 1: phase-split FFT
     def test_matches_full_grid_slice(self, num_out, step, order, seed):
         # P = num_out outputs past x = 0 on N = P step + 1 points; the blocked
-        # product serves P <= step (P^2 <= N - 1), the FFT path the rest.
+        # product serves P <= step (P^2 <= N - 1), the phase-split FFT the rest.
         # Positive data with v[0] != 0, like periodogram ordinates
         v = 0.1 + np.random.default_rng(seed).exponential(size=num_out * step + 1)
         g = GridFunction(v)
@@ -147,6 +147,23 @@ class TestStridedIntegral:
         assert out.num_points == num_out + 1
         full = fracops.frac_integral(g, order).values[::step]
         np.testing.assert_allclose(out.values, full, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "num_points, step", [(65537, 16), (65537, 8), (65537, 128), (4097, 4), (3001, 3)]
+    )
+    @pytest.mark.parametrize("order", [0.51, 0.75, 0.99])
+    def test_phase_split_matches_full_grid_oracle(self, num_points, step, order):
+        # P^2 > N - 1 in every case, P = 1000 for the 3001-point grid: the
+        # phase-split FFT, against every step-th point of the full-grid FFT.
+        # Periodogram-like data: positive, even, with v[0] != 0
+        p = (num_points - 1) // step
+        assert p * p > num_points - 1
+        half = 0.1 + np.random.default_rng(num_points + step).exponential(size=num_points // 2 + 1)
+        g = GridFunction(np.concatenate((half, half[-2::-1])))
+        full = fracops.frac_integral(g, order).values[::step]
+        out = fracops.frac_integral(g, order, step).values
+        assert out.size == p + 1
+        np.testing.assert_allclose(out, full, rtol=0, atol=1e-14 * np.max(full))
 
     def test_order_one_slices_the_trapezoid(self):
         g = GridFunction(np.random.default_rng(1).exponential(size=257))

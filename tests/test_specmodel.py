@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,32 @@ class TestSpectralFunction:
         specmodel.frac_truth_profile(AR1, 0.25, 4097, 64)
         specmodel.frac_truth_profile(AR1, 0.25, 3001, 3)
         assert steps == [(specmodel.TRUTH_POINTS, 1024), (specmodel.TRUTH_POINTS, 1)]
+
+    def test_profile_on_the_truth_grid_is_strided_at_step_one(self, monkeypatch):
+        steps = []
+        frac_integral = specmodel.fracops.frac_integral
+
+        def spy(g, order, step=1):
+            steps.append((g.num_points, step))
+            return frac_integral(g, order, step)
+
+        monkeypatch.setattr(specmodel.fracops, "frac_integral", spy)
+        specmodel.frac_truth_profile(AR1, 0.25, 4097)
+        specmodel.frac_truth_profile(AR1, 0.25, 8193)
+        assert steps == [(specmodel.TRUTH_POINTS, 16), (specmodel.TRUTH_POINTS, 8)]
+
+    def test_strided_profile_never_builds_the_full_grid(self):
+        # the full-grid FFT of the 65,537-point truth grid peaks at 3.5 MiB
+        # with its weights cached and 5.1 MiB without; the strided profile
+        # peaks near 2 MiB, 1.5 of it the density on the truth grid
+        specmodel.frac_truth_profile(AR1, 0.25, 4097)
+        tracemalloc.start()
+        try:
+            specmodel.frac_truth_profile(AR1, 0.25, 4097)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     @pytest.mark.parametrize("step", [0, -1, 7])
     def test_step_must_divide_the_grid(self, step):

@@ -39,6 +39,11 @@ class TestMcConfig:
         with pytest.raises(DomainError):
             _config(alpha=0.25, holder_delta=0.3)
 
+    @pytest.mark.parametrize("delta", [-0.2, 0.0, 0.5])
+    def test_rejects_holder_delta_outside_range_at_alpha_zero(self, delta):
+        with pytest.raises(DomainError, match=r"holder_delta must lie in \(0, 1/2 - alpha\)"):
+            _config(alpha=0.0, holder_delta=delta)
+
     def test_rejects_zero_replications(self):
         with pytest.raises(DomainError):
             _config(replications=0)
