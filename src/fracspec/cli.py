@@ -183,18 +183,6 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def _probe_lambdas(section: dict, default: tuple[float, ...]) -> tuple[float, ...]:
-    probes = _get(section, "probe_lambdas", _float_list, default)
-    if not 1 <= len(probes) <= verify.MAX_PROBES:
-        raise ConfigError(
-            f"probe_lambdas must hold between 1 and {verify.MAX_PROBES} values, "
-            f"got {len(probes)}"
-        )
-    if not all(0.0 < p <= TWO_PI for p in probes):
-        raise ConfigError(f"probe_lambdas must lie in (0, 2*pi], got {probes!r}")
-    return probes
-
-
 def _model_from(sections: dict, config_dir: Path) -> SpectralModel:
     if "model" not in sections:
         raise ConfigError("config is missing required section [model]")
@@ -214,9 +202,9 @@ def build_mc_config(sections: dict, seed_override: int | None) -> verify.McConfi
     mc = sections.get("mc", {})
     grid_points = _grid_points(mc, "grid_points", 0) or None
     n_list = _n_list(mc)
-    probes = _probe_lambdas(mc, (math.pi / 2, math.pi))
+    probes = _get(mc, "probe_lambdas", _float_list, (math.pi / 2, math.pi))
     seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
-    # McConfig is the one check of replications and holder_delta
+    # McConfig is the one check of replications, probe_lambdas and holder_delta
     return verify.McConfig(
         alpha=_get(mc, "alpha", float),
         n_list=n_list,
@@ -307,7 +295,8 @@ def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Itera
     tr = sections.get("truth", {})
     num_points = _grid_points(tr, "num_points", 4097)
     alpha = _alpha(tr)
-    probes = _probe_lambdas(tr, (math.pi / 2, math.pi, TWO_PI))
+    default = (math.pi / 2, math.pi, TWO_PI)
+    probes = verify._check_probes(_get(tr, "probe_lambdas", _float_list, default))
     model = _model_from(sections, config_dir)
     header = _header(sections, None, {"grid_points": num_points})
     with_alpha = header + [f"alpha = {alpha:g}"]

@@ -45,7 +45,10 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
         # the time origin of the fold moves only the phase of the sum
         demeaned = np.bincount(np.arange(n) % m, weights=demeaned, minlength=m)
     transform = np.fft.rfft(demeaned, m)
-    return even_grid_function((transform.real**2 + transform.imag**2) / (TWO_PI * n), num_points)
+    power = transform.real**2
+    power += transform.imag**2
+    power /= TWO_PI * n
+    return even_grid_function(power, num_points)
 
 
 def empirical_spectral_function(j: GridFunction) -> GridFunction:

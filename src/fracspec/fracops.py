@@ -31,11 +31,27 @@ _DIRECT_POINTS = 64
 # 1.4-1.7 MiB; groups four times larger ran slower and raised mc's peak RSS
 _PHASE_FLOATS = 1 << 15
 
+# weights per row block of the strided evaluation's weight matrix, so building it
+# holds a few small temporaries beside the matrix, not seven the size of the grid
+_BLOCK_WEIGHT_FLOATS = 1 << 12
+
 
 def _fft_length(target: int) -> int:
-    """Smallest 2^a 3^b 5^c >= target, the length scipy.fft.next_fast_len(target, True) picks."""
-    odd = (3**i * 5**j for i in range(target.bit_length()) for j in range(target.bit_length()))
-    return min(p << (-(-target // p) - 1).bit_length() for p in odd)
+    """Smallest 2^a 3^b 5^c >= target, the length scipy.fft.next_fast_len(target, True) picks.
+
+    Each odd part 3^i 5^j is padded by the least power of two; an odd part at
+    or above the best length so far cannot give a shorter one, and the first
+    best, a power of two, is below 2 target.
+    """
+    best = 1 << (target - 1).bit_length()
+    p3 = 1
+    while p3 < best:
+        p = p3
+        while p < best:
+            best = min(best, p << (-(-target // p) - 1).bit_length())
+            p *= 5
+        p3 *= 3
+    return best
 
 
 def _binom(gamma: float, m: int) -> float:
@@ -101,12 +117,19 @@ def _block_weights(order: float, n: int, step: int) -> tuple[np.ndarray, np.ndar
     """Read-only weights of the strided evaluation, P = (n - 1) / step blocks:
     the P x step matrix A[d, t] = a[(d + 1) step - 1 - t] of the central
     weights, the left weights at every step-th point, and the anti-diagonal
-    index d + c of each entry of a P x P matrix."""
+    index d + c of each entry of a P x P matrix. A is built by row blocks of
+    about _BLOCK_WEIGHT_FLOATS weights; the weight formula is elementwise, so
+    the blocks hold the values of the whole weight vector."""
     gamma = order + 1.0
-    a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, n - 1))))
-    blocks = np.ascontiguousarray(a.reshape(-1, step)[:, ::-1])
+    p = (n - 1) // step
+    blocks = np.empty((p, step))
+    rows = max(1, _BLOCK_WEIGHT_FLOATS // step)
+    for d0 in range(0, p, rows):
+        index = np.arange(d0 * step, min(d0 + rows, p) * step)
+        weights = _central_weights(gamma, np.maximum(index, 1))
+        blocks[d0 : d0 + rows] = weights.reshape(-1, step)[:, ::-1]
+    blocks[0, -1] = 1.0  # a[0]
     b = _left_weights(gamma, np.arange(step, n, step))
-    p = b.size
     diagonal = np.add.outer(np.arange(p), np.arange(p)).ravel()
     for arr in (blocks, b, diagonal):
         arr.setflags(write=False)

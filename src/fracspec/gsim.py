@@ -155,8 +155,13 @@ def sample_path(
     return SamplePath(n=n, values=path, seed=seed, model_id=model.model_id, added_mean=mean)
 
 
+def _limit_normals(cov: LimitCovariance, seed: int, draws: int) -> np.ndarray:
+    """The standard normals behind `draws` limit-process draws, one column per
+    draw, from the generator keyed by `seed`; draw k is cov.factor @ z[:, k]."""
+    return make_rng(seed).standard_normal((cov.factor.shape[1], draws))
+
+
 def sample_limit_process(cov: LimitCovariance, seed: int, draws: int) -> np.ndarray:
     """`draws` independent draws of the limit Gaussian process on the probe
     grid, one per column, from the generator keyed by `seed`."""
-    z = make_rng(seed).standard_normal((cov.factor.shape[1], draws))
-    return cov.factor @ z
+    return cov.factor @ _limit_normals(cov, seed, draws)

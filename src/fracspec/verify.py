@@ -15,8 +15,8 @@ from . import fracops, specmodel
 from .errors import DomainError
 from .estimate import default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, GridFunction, csv_table
-from .gsim import sample_limit_process, sample_path
-from .specmodel import SpectralModel, limit_covariance
+from .gsim import _limit_normals, sample_path
+from .specmodel import LimitCovariance, SpectralModel, limit_covariance
 
 #: stream-index offsets keeping replication phases disjoint
 _STREAM_MC = 1 << 40
@@ -40,9 +40,13 @@ MAX_PROBES = 1024
 MC_CALIBRATION_DRAWS = 2000
 
 #: most floats in the probes x draws block of limit-process draws (256 MB; the
-#: calibration holds about two such blocks at once, so 512 MB at the bound), and
-#: in the per-replication records an mc run keeps until it ends
+#: calibration holds that block and one column block of their product, so about
+#: 256 MB at the bound), and in the per-replication records an mc run keeps until
+#: it ends
 _MAX_CALIBRATION_FLOATS = 1 << 25
+
+#: most floats in one column block of the limit-process draws reduced to sup norms
+_SUP_BLOCK_FLOATS = 1 << 15
 
 #: (file name, CSV header) of each table of the mc bundle, in writing order
 MC_TABLES = (
@@ -53,6 +57,19 @@ MC_TABLES = (
     ("holder.csv", "n,h,q95_ratio"),
     ("confidence.csv", "n,delta,u0,coverage"),
 )
+
+
+def _check_probes(probes: Iterable[float]) -> tuple[float, ...]:
+    """Refuse probe_lambdas out of bounds, the count and then the range, and
+    return them as floats; the mc plan and the truth verb share this check."""
+    probes = tuple(float(x) for x in probes)
+    if not 1 <= len(probes) <= MAX_PROBES:
+        raise DomainError(
+            f"probe_lambdas must hold between 1 and {MAX_PROBES} values, got {len(probes)}"
+        )
+    if not all(0.0 < p <= TWO_PI for p in probes):
+        raise DomainError(f"probe_lambdas must lie in (0, 2*pi], got {probes!r}")
+    return probes
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +97,7 @@ class McConfig:
         if int(self.replications) < 2:
             # the sample covariance of the probes needs two replications
             raise DomainError(f"replications must be at least 2, got {self.replications!r}")
-        probes = tuple(float(x) for x in self.probe_lambdas)
-        if any(not (0.0 < p <= TWO_PI) for p in probes):
-            raise DomainError(f"probe_lambdas must lie in (0, 2*pi], got {probes!r}")
-        if not 1 <= len(probes) <= MAX_PROBES:
-            raise DomainError(
-                f"probe_lambdas must hold between 1 and {MAX_PROBES} values, got {len(probes)}"
-            )
+        probes = _check_probes(self.probe_lambdas)
         if any(b <= a for a, b in zip(probes, probes[1:])):
             raise DomainError("probe_lambdas must be strictly increasing")
         # each replication keeps its probe values, three sup statistics and the
@@ -190,6 +201,22 @@ def _band_probes(num_probes: int) -> np.ndarray:
     return np.linspace(TWO_PI / num_probes, TWO_PI, num_probes)
 
 
+def _sup_norms(cov: LimitCovariance, seed: int, draws: int) -> np.ndarray:
+    """max |limit process| over the probes of each of `draws` draws: the
+    normals of gsim.sample_limit_process, multiplied by the factor one column
+    block of at most _SUP_BLOCK_FLOATS floats at a time, so the draws' product
+    is never held whole. Each column's sum over the probes stays in one BLAS
+    kernel, so the values usually match the full product's bits."""
+    z = _limit_normals(cov, seed, draws)
+    # a power of two, so no block ends inside one of the BLAS kernel's column panels
+    width = 1 << max(0, (_SUP_BLOCK_FLOATS // z.shape[0]).bit_length() - 1)
+    sups = np.empty(draws)
+    for c0 in range(0, draws, width):
+        block = cov.factor @ z[:, c0 : c0 + width]
+        np.max(np.abs(block, out=block), axis=0, out=sups[c0 : c0 + width])
+    return sups
+
+
 def _band_half_width(
     model: SpectralModel, alpha: float, num_probes: int, real_symmetry: bool,
     seed: int, draws: int, delta: float,
@@ -197,8 +224,7 @@ def _band_half_width(
     """u0: the (1 - delta) quantile of the sup over the band probes of |limit
     process|, from `draws` simulated limit-process vectors."""
     cov = limit_covariance(model, alpha, _band_probes(num_probes), real_symmetry=real_symmetry)
-    sims = sample_limit_process(cov, seed + _STREAM_CALIBRATION, draws)
-    return float(np.quantile(np.max(np.abs(sims), axis=0), 1.0 - delta))
+    return float(np.quantile(_sup_norms(cov, seed + _STREAM_CALIBRATION, draws), 1.0 - delta))
 
 
 def _run_block(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,10 +89,15 @@ class TestFracIntegral:
     def test_fft_length_is_the_fast_real_length(self):
         # the padded convolution length is scipy's 5-smooth choice, so default
         # grids of non-power-of-two n (4n + 1 points) keep the FFT size that
-        # fftconvolve used: 2 * 6001 - 3 pads to 12000, not 16384
+        # fftconvolve used: 2 * 6001 - 3 pads to 12000, not 16384. The last
+        # four are the full-grid lengths of the 65,537- and 8,193-point grids
+        # and the phase-split lengths 2P - 1 of P = 4,096 and 8,192 outputs
         from scipy.fft import next_fast_len
 
-        targets = [*range(1, 5001), 2 * 4101 - 3, 2 * 6001 - 3, 2 * 65537 - 3]
+        targets = [
+            *range(1, 5001), 2 * 4101 - 3, 2 * 6001 - 3, 2 * 65537 - 3, 2 * 8193 - 3,
+            2 * 4096 - 1, 2 * 8192 - 1,
+        ]
         assert [fracops._fft_length(t) for t in targets] == [
             next_fast_len(t, real=True) for t in targets
         ]
@@ -164,6 +170,24 @@ class TestStridedIntegral:
         out = fracops.frac_integral(g, order, step).values
         assert out.size == p + 1
         np.testing.assert_allclose(out, full, rtol=0, atol=1e-14 * np.max(full))
+
+    @pytest.mark.parametrize(
+        "order, n, step", [(0.75, 65537, 1024), (0.51, 4097, 64), (0.99, 16385, 128)]
+    )
+    def test_block_weights_match_one_shot_construction(self, order, n, step):
+        # built by row blocks, the weight matrix holds the same bits as the
+        # reversed rows of the whole weight vector; at the band's 65,537
+        # points the build used to peak at 3.1 MiB beside a 0.5 MiB matrix
+        a = np.concatenate(([1.0], fracops._central_weights(order + 1.0, np.arange(1, n - 1))))
+        tracemalloc.start()
+        try:
+            blocks = fracops._block_weights.__wrapped__(order, n, step)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(blocks, a.reshape(-1, step)[:, ::-1])
+        if n == 65537:
+            assert peak < 2**20
 
     def test_order_one_slices_the_trapezoid(self):
         g = GridFunction(np.random.default_rng(1).exponential(size=257))

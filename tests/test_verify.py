@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,34 @@ class TestConfidenceBand:
             DomainError, match="calibration_draws must be at most 524288 for 64 probes"
         ):
             verify.confidence_band(CONST, 0.25, 64, 0.05, 10**12, seed=0)
+
+    def test_calibration_holds_one_block_of_draws(self, monkeypatch):
+        # the normals are one probes x draws block; their product with the
+        # factor used to be held whole beside them, then beside its absolute
+        # values (a tracemalloc peak of 2.02 blocks)
+        probes, draws = 64, 40_000
+        cov = specmodel.limit_covariance(AR1, 0.25, verify._band_probes(probes))
+        monkeypatch.setattr(verify, "limit_covariance", lambda *args, **kw: cov)
+        tracemalloc.start()
+        try:
+            verify._band_half_width(AR1, 0.25, probes, False, 3, draws, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * probes * draws * 8
+
+    @pytest.mark.parametrize(
+        "probes, draws", [(64, 5000), (1024, 1500), (7, 1001), (100, 4099)]
+    )
+    def test_sup_norms_match_the_full_product(self, probes, draws):
+        # the column blocks end where the full product's columns do not
+        # (1500 and 4099 draws), and 7 probes fit every draw in one block
+        rng = np.random.default_rng(probes)
+        factor = np.tril(rng.standard_normal((probes, probes)))
+        grid = verify._band_probes(probes)
+        cov = specmodel.LimitCovariance(0.25, grid, factor @ factor.T, factor, False)
+        full = np.max(np.abs(gsim.sample_limit_process(cov, 11, draws)), axis=0)
+        np.testing.assert_allclose(verify._sup_norms(cov, 11, draws), full, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("num_probes, step", [(64, 64), (48, 1)])
     def test_matches_full_grid_oracle(self, monkeypatch, num_probes, step):
