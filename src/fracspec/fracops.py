@@ -232,32 +232,27 @@ def frac_derivative(g: GridFunction, order: float) -> GridFunction:
     return GridFunction(deriv)
 
 
-def _window_ranges(
-    v: np.ndarray, widths: list[int], num_starts: int | None = None
-) -> np.ndarray:
-    """Largest max - min of v over windows of each width (in points, >= 1).
+def _window_ranges(v: np.ndarray, widths: list[int]) -> np.ndarray:
+    """Largest max - min of v over windows of each width (in points, >= 1),
+    over every start that fits.
 
-    Windows start at 0 .. num_starts - 1, by default at every start that fits.
-    A sparse table of running max/min over spans 1, 2, 4, ... covers each
-    window with two overlapping power-of-two spans (van Herk / Gil-Werman
-    windowed extrema), so the cost is O(N log K) instead of O(N K) for a scan
-    over pair offsets. max, min and one subtraction are exact in floating
-    point, so the result equals the largest |v[i] - v[j]| over pairs in a window.
+    One stacked array holds the running max of (v, -v) over windows of the
+    current width c. A window of c + s points (s <= c) is the union of the
+    c-point windows at i and i + s, so the widths, taken in ascending order,
+    each grow from the last by np.maximum of two shifted slices (windowed
+    extrema, van Herk / Gil-Werman), holding two stacked arrays at a time.
+    max, negation and one addition are exact in floating point, so the result
+    equals the largest |v[i] - v[j]| over pairs in a window.
     """
-    hi, lo = [v], [v]
-    span = 1
-    while 2 * span <= max(widths):
-        hi.append(np.maximum(hi[-1][:-span], hi[-1][span:]))
-        lo.append(np.minimum(lo[-1][:-span], lo[-1][span:]))
-        span *= 2
     out = np.empty(len(widths))
-    for idx, w in enumerate(widths):
-        level = w.bit_length() - 1
-        count = v.size - w + 1 if num_starts is None else num_starts
-        shift = w - (1 << level)
-        top = np.maximum(hi[level][:count], hi[level][shift : shift + count])
-        bottom = np.minimum(lo[level][:count], lo[level][shift : shift + count])
-        out[idx] = np.max(top - bottom)
+    ext = np.stack((v, -v))
+    width = 1
+    for idx in sorted(range(len(widths)), key=widths.__getitem__):
+        while width < widths[idx]:
+            shift = min(width, widths[idx] - width)
+            ext = np.maximum(ext[:, :-shift], ext[:, shift:])
+            width += shift
+        out[idx] = np.max(ext[0] + ext[1])
     return out
 
 
@@ -274,18 +269,19 @@ def modulus_of_continuity(g: GridFunction, h: float) -> float:
     v = g.values
     kmax = int(np.floor(h / spacing + 1e-9))
     if g.periodic:
-        # wrap the circle so every arc of k steps is one window
+        # wrap the circle so every arc of k steps is one window: the m + k
+        # wrapped points hold exactly m windows of k + 1 points
         circle = v[:-1]
         m = circle.size
         k = min(kmax, m // 2)
         wrapped = np.concatenate((circle, circle[:k]))
-        return float(_window_ranges(wrapped, [k + 1], num_starts=m)[0])
+        return float(_window_ranges(wrapped, [k + 1])[0])
     k = min(kmax, v.size - 1)
     return float(_window_ranges(v, [k + 1])[0])
 
 
 def modulus_profile(g: GridFunction, h_grid: np.ndarray) -> np.ndarray:
-    """modulus_of_continuity (non-periodic) at several windows from one sparse table."""
+    """modulus_of_continuity (non-periodic) at several windows, each grown from the last."""
     h_grid = np.asarray(h_grid, dtype=float)
     spacing = g.spacing
     if np.any(h_grid < spacing - 1e-12):

@@ -93,6 +93,8 @@ class SamplePath:
             raise DomainError(f"{path}: the path is empty (no sample values)")
         try:
             seed, added_mean = int(meta["seed"]), float(meta["added_mean"])
+            if not math.isfinite(added_mean):
+                raise ValueError(f"added_mean must be finite, got {meta['added_mean']!r}")
         except ValueError as exc:
             raise DomainError(f"{path}: bad header value: {exc}") from None
         return cls(

@@ -197,6 +197,22 @@ def replicate(
         yield frac_estimate(periodogram(path, num_points), alpha, step).values
 
 
+def _quantile(x: np.ndarray, q: float) -> float:
+    """np.quantile(x, q) of finite x with its default linear method
+    (Hyndman & Fan type 7), bit for bit: v = (n - 1) q, the order statistics
+    j = floor(v) and j + 1 by one partition, and numpy's _lerp between them.
+    np.quantile's first call imports numpy.ma (through np.unique), which no
+    other step of mc or confidence loads."""
+    n = x.size
+    v = (n - 1) * q
+    j = min(math.floor(v), n - 1)
+    kth = [j, min(j + 1, n - 1)]
+    a, b = np.partition(x, kth)[kth].tolist()
+    d = b - a
+    g = v - j
+    return a + d * g if g < 0.5 else b - d * (1.0 - g)
+
+
 def _band_probes(num_probes: int) -> np.ndarray:
     return np.linspace(TWO_PI / num_probes, TWO_PI, num_probes)
 
@@ -224,7 +240,7 @@ def _band_half_width(
     """u0: the (1 - delta) quantile of the sup over the band probes of |limit
     process|, from `draws` simulated limit-process vectors."""
     cov = limit_covariance(model, alpha, _band_probes(num_probes), real_symmetry=real_symmetry)
-    return float(np.quantile(_sup_norms(cov, seed + _STREAM_CALIBRATION, draws), 1.0 - delta))
+    return _quantile(_sup_norms(cov, seed + _STREAM_CALIBRATION, draws), 1.0 - delta)
 
 
 def _run_block(
@@ -359,7 +375,7 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
 
         for k, h in enumerate(h_grid):
             ratios = agg["holder_moduli"][:, k] / h**config.holder_delta
-            report.holder_rows.append((n, h, float(np.quantile(ratios, 0.95))))
+            report.holder_rows.append((n, h, _quantile(ratios, 0.95)))
 
         report.fejer_rows.append((n, *_fejer_bias(model, n)))
         coverage = float(np.mean(agg["band_sup_deviation"] <= u0))

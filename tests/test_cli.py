@@ -623,6 +623,16 @@ class TestMalformedInput:
         assert self._estimate(tmp_path, text) == 1
         assert f"bad sample value '{value}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_path_csv_with_non_finite_added_mean(self, tmp_path, capsys, recwarn, value):
+        # these used to reach the FFT and fail as "grid values must be finite"
+        text = f"# seed = 0\n# model_id = ar1(rho=0.5)\n# added_mean = {value}\neta\n0.5\n1.5\n"
+        assert self._estimate(tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert "bad header value: added_mean" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_path_csv_without_seed_line(self, tmp_path, capsys):
         text = "# model_id = ar1(rho=0.5)\neta\n0.5\n-0.25\n1.5\n"
         assert self._estimate(tmp_path, text) == 1
@@ -884,6 +894,25 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0]", proc.stderr
+
+    @pytest.mark.parametrize("verb", ["mc", "confidence"])
+    def test_verb_loads_no_numpy_ma(self, tmp_path, verb):
+        # np.quantile imports numpy.ma through np.unique, about 0.7 MB resident
+        section = {
+            "mc": "[model]\nkind = ar1\nrho = 0.5\n\n[mc]\nalpha = 0.25\nn_list = 128\n"
+            "replications = 10\n",
+            "confidence": f"[model]\nkind = constant\nc = {CONST_C!r}\n\n[confidence]\n"
+            "alpha = 0.25\nn = 128\ncalibration_draws = 1000\nreplications = 10\n"
+            "num_probes = 16\n",
+        }[verb]
+        cfg = _write(tmp_path / f"{verb}.ini", section)
+        argv = [verb, "--config", str(cfg), "--out", str(tmp_path / verb)]
+        proc = self._python(
+            "import sys\nfrom fracspec.cli import main\n"
+            f"print(main({argv!r}), 'numpy.ma' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False", proc.stderr
 
     def test_mc_loads_no_scipy(self, tmp_path):
         # the normality test used to import scipy.stats, half of mc's wall time

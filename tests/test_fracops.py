@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fracspec import DomainError, GridFunction, TWO_PI
 from fracspec import fracops
+from fracspec.verify import DEFAULT_H_GRID
 
 
 def _power_fn(mu: float, num_points: int) -> GridFunction:
@@ -316,6 +317,19 @@ class TestModulus:
         ring = GridFunction(closed, periodic=True)
         periodic = np.array([fracops.modulus_of_continuity(ring, h) for h in hs])
         assert np.array_equal(periodic, [_brute_modulus(ring, h) for h in hs])
+
+    def test_profile_holds_few_grid_arrays(self):
+        # mc takes the moduli of each replication on up to 8,193 points; a
+        # sparse table of running extrema used to peak at 22.5 grid arrays
+        g = GridFunction(np.cumsum(np.random.default_rng(10).standard_normal(8193)))
+        h_grid = np.array(DEFAULT_H_GRID)
+        tracemalloc.start()
+        try:
+            fracops.modulus_profile(g, h_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * g.values.nbytes
 
     def test_rejects_h_below_spacing(self):
         g = GridFunction(np.ones(65))

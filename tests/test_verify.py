@@ -238,6 +238,18 @@ class TestConfidenceBand:
         assert got == _full_grid_band(model, alpha, n, delta, draws, seed, reps, num_probes)
 
 
+@pytest.mark.parametrize("n", [*range(1, 61), 399, 400, 401, 2000, 5000])
+def test_quantile_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    ties = rng.integers(-4, 4, n) * 0.25
+    spread = rng.standard_normal(n) * 3.0 - 1.0
+    for x in (ties, spread):
+        for q in (0.0, 0.05, 0.5, 0.9, 0.95, 0.99, 1.0):
+            got = verify._quantile(x, q)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.quantile(x, q).tobytes(), (q, got)
+
+
 def _full_grid_band(model, alpha, n, delta, draws, seed, reps, num_probes):
     """Oracle: calibrate u0 on the probes, then count the replications whose
     full-grid estimate, interpolated at the probes, stays within u0 / sqrt(n)
@@ -268,7 +280,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.mark.parametrize(
-    "script, reps", [("tail_envelope.py", "300"), ("variance_convergence.py", "100")]
+    "script, reps",
+    [("tail_envelope.py", "300"), ("variance_convergence.py", "100"), ("band_coverage.py", "20")],
 )
 def test_script_runs(script, reps):
     proc = subprocess.run(
