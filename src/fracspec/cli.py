@@ -264,6 +264,8 @@ def _cmd_simulate(args, sections: dict, config_dir: Path) -> tuple[list[str], It
     count = _size(sim, "count", 1)
     model = _model_from(sections, config_dir)
     mean = _get(sim, "mean", float, 0.0)
+    if not math.isfinite(mean):
+        raise ConfigError(f"mean must be finite, got {mean!r}")
     seed = args.seed if args.seed is not None else _get(sim, "seed", int, 0)
     header = _header(sections, seed, {"n": n})
     texts = (

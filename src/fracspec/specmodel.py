@@ -30,6 +30,11 @@ _CHECK_NODES = 16
 _RULE_TOL = 1e-10
 #: quadrature nodes per block of probe pairs: keeps each temporary near 1 MB
 _BLOCK_NODES = 1 << 17
+#: most Aberth-Ehrlich sweeps for the nodes of a Gauss rule (12 or 16 nodes
+#: take 3 to 8 for exponents below 1), and the step, in x on [-1, 1], below
+#: which the nodes have converged: four ulps of 1
+_ROOT_SWEEPS = 32
+_ROOT_STEP = 4.0 * 2.0**-52
 #: most doublings in a geometric grading; 2^64 spans 2 pi from far below one ulp
 _MAX_DOUBLINGS = 64
 
@@ -207,7 +212,14 @@ def beta_sq(model: SpectralModel, lam: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LimitCovariance:
-    """Limit covariance of the scaled estimator process on a probe grid."""
+    """Limit covariance of the scaled estimator process on a probe grid.
+
+    Where Theta factors by Cholesky, `matrix` holds its values as computed
+    and `factor` is that Cholesky factor. Otherwise (a repeated probe, say)
+    `matrix` is Theta's projection onto the PSD cone, `factor` the
+    projection's factor, and `clip_applied` says whether the projection set
+    a negative eigenvalue to zero; on the Cholesky path it is False.
+    """
 
     alpha: float
     probe_grid: np.ndarray
@@ -232,18 +244,48 @@ def _gauss_jacobi(exponent: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the size-point Gauss rule on [0, 1] for
     the weight t^-exponent; exponent 0 gives Gauss-Legendre.
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    weight (1 + x)^b on [-1, 1], b = -exponent, mapped by t = (1 + x) / 2, and
-    the weights are the squared first eigenvector components times the mass
-    of the weight, 1 / (1 + b) on [0, 1].
+    The Jacobi matrix of the weight (1 + x)^b on [-1, 1], b = -exponent, has
+    the diagonal a_k and the off-diagonal b_k. Its eigenvalues (Golub-Welsch)
+    are the roots of the monic p_(k+1) = (x - a_k) p_k - b_k^2 p_(k-1), found
+    all at once by Aberth-Ehrlich iteration from the Gauss-Legendre guesses
+    and mapped by t = (1 + x) / 2. A node's weight is the mass of the weight
+    on [0, 1], 1 / (1 + b), over the sum of q_k^2, q_k the orthonormal
+    polynomials of the same recurrence: the squared first component of its
+    unit eigenvector. No eigensolver runs, so the rule does not depend on
+    the LAPACK build.
     """
     b = -exponent
     k = np.arange(1, size, dtype=float)
     s = 2.0 * k + b
     diag = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
     off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    nodes, weights = 0.5 * (1.0 + x), vec[0] ** 2 / (1.0 + b)
+    x = -np.cos(math.pi * (np.arange(1, size + 1) - 0.25) / (size + 0.5))
+    for _ in range(_ROOT_SWEEPS):
+        # p_size and its derivative at every node
+        p_prev, p = np.ones(size), x - diag[0]
+        dp_prev, dp = np.zeros(size), np.ones(size)
+        for a_k, b_sq in zip(diag[1:], off**2):
+            p_prev, p, dp_prev, dp = (
+                p, (x - a_k) * p - b_sq * p_prev, dp, p + (x - a_k) * dp - b_sq * dp_prev
+            )
+        newton = p / dp
+        gaps = x[:, None] - x
+        np.fill_diagonal(gaps, np.inf)
+        step = newton / (1.0 - newton * np.sum(1.0 / gaps, axis=1))
+        x = x - step
+        if np.max(np.abs(step)) <= _ROOT_STEP:
+            break
+    else:
+        raise NumericalError(
+            f"Gauss-Jacobi nodes for exponent {exponent:g}, size {size} did not "
+            f"converge in {_ROOT_SWEEPS} sweeps"
+        )
+    x.sort()
+    q_prev, q, norm = np.zeros(size), np.ones(size), np.ones(size)
+    for a_k, b_prev, b_k in zip(diag, np.concatenate(([0.0], off)), off):
+        q_prev, q = q, ((x - a_k) * q - b_prev * q_prev) / b_k
+        norm += q * q
+    nodes, weights = 0.5 * (1.0 + x), 1.0 / (1.0 + b) / norm
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -429,7 +471,12 @@ def limit_covariance(
     probe_grid: Sequence[float],
     real_symmetry: bool = False,
 ) -> LimitCovariance:
-    """Covariance matrix of the limit process on a probe grid, PSD-projected and factorized."""
+    """Covariance matrix of the limit process on a probe grid, and its factor.
+
+    Theta is factored by Cholesky first. Only when that fails is it sent
+    through its eigendecomposition: negative eigenvalues are clipped to
+    zero, and the projection is factored with _psd_cholesky's jitter.
+    """
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
     probes = np.asarray(probe_grid, dtype=float)
@@ -442,6 +489,12 @@ def limit_covariance(
     mat[rows, cols] = mat[cols, rows] = theta_point(
         model, alpha, probes[rows], probes[cols], real_symmetry=real_symmetry
     )
+    try:
+        factor = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        return LimitCovariance(alpha, probes, mat, factor, False)
     eigvals, eigvecs = np.linalg.eigh(mat)
     clip = bool(eigvals[0] < 0.0)
     projected = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T

@@ -554,6 +554,20 @@ class TestSimulate:
         assert "circulant embedding stayed indefinite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
+    def test_non_finite_mean_is_config_error(self, tmp_path, capsys, monkeypatch, mean):
+        # these used to reach SamplePath and exit 2 as a numerical error;
+        # the check runs before any draw
+        monkeypatch.setattr(cli, "sample_path", None)
+        cfg = _write(
+            tmp_path / "s.ini",
+            f"[model]\nkind = ar1\nrho = 0.5\n\n[simulate]\nn = 64\nmean = {mean}\n",
+        )
+        out = tmp_path / "o"
+        assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        assert f"mean must be finite, got {float(mean)!r}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_seed_override_changes_output(self, sim_ini, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         _run("simulate", "--config", str(sim_ini), "--out", str(out1))

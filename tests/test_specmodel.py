@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracspec import DomainError, GridFunction, NumericalError, TWO_PI
-from fracspec import specmodel
+from fracspec import cli, specmodel, verify
 from fracspec.specmodel import SpectralModel
 
 CONST = SpectralModel.constant(1.0 / TWO_PI)
@@ -359,6 +360,58 @@ class TestPsdCholesky:
         assert len(calls) == 8
 
 
+@pytest.fixture
+def no_eigensolver(monkeypatch):
+    """np.linalg.eigh and eigvalsh raise, and the Gauss rules are built anew."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    specmodel._gauss_jacobi.cache_clear()
+
+
+class TestEigensolverFree:
+    """A positive definite Theta, and the Gauss rules, need no eigensolver."""
+
+    @pytest.mark.parametrize("real_symmetry", [False, True])
+    def test_band_covariance_is_theta_and_its_cholesky_factor(
+        self, no_eigensolver, real_symmetry
+    ):
+        probes = verify._band_probes(verify.BAND_PROBES)
+        cov = specmodel.limit_covariance(AR1, 0.25, probes, real_symmetry=real_symmetry)
+        rows, cols = np.tril_indices(probes.size)
+        theta = specmodel.theta_point(AR1, 0.25, probes[rows], probes[cols], real_symmetry)
+        assert np.array_equal(cov.matrix[rows, cols], theta)
+        assert np.array_equal(cov.matrix[cols, rows], theta)
+        assert not cov.clip_applied
+        scale = np.max(np.abs(cov.matrix))
+        assert np.max(np.abs(cov.factor @ cov.factor.T - cov.matrix)) <= 1e-12 * scale
+
+    def test_confidence_band_and_monte_carlo_run(self, no_eigensolver):
+        u0, coverage = verify.confidence_band(AR1, 0.25, 256, 0.05, 1000, seed=0, replications=5)
+        assert u0 > 0 and 0.0 <= coverage <= 1.0
+        config = verify.McConfig(alpha=0.25, n_list=(128,), replications=5, seed=0)
+        assert len(verify.run_monte_carlo(AR1, config).cov_rows) == 3
+
+    def test_truth_verb_runs(self, no_eigensolver, tmp_path):
+        config = Path(__file__).resolve().parents[1] / "configs" / "truth_custom.ini"
+        assert cli.main(["truth", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "theta.csv").exists()
+
+    def test_repeated_probe_takes_the_eigendecomposition(self, monkeypatch):
+        # two equal rows make Theta singular, so Cholesky fails and the
+        # projection and the jitter factor it
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        cov = specmodel.limit_covariance(AR1, 0.25, [1.0, 2.0, 2.0, 3.0])
+        assert len(calls) == 1
+        scale = np.max(np.abs(cov.matrix))
+        assert np.max(np.abs(cov.factor @ cov.factor.T - cov.matrix)) <= 1e-12 * scale
+
+
 PAIRS = [
     (math.pi / 2, math.pi / 2), (TWO_PI, TWO_PI), (3.0, 3.0),
     (math.pi, math.pi / 2), (TWO_PI, 0.1), (5.0, 4.9), (6.0, 1.0), (TWO_PI, 6.0),
@@ -368,14 +421,20 @@ PAIRS = [
 class TestProductRule:
     """The limit covariance against quad, at rtol 1e-10, on and off the diagonal."""
 
-    @pytest.mark.parametrize("size", [1, 4, 12])
-    @pytest.mark.parametrize("exponent", [0.0, 0.25, 0.5, 0.98])
+    @pytest.mark.parametrize("size", [1, 4, 12, 16])
+    @pytest.mark.parametrize("exponent", [0.0, 0.25, 0.5, 0.9, 0.98])
     def test_gauss_jacobi_moments(self, exponent, size):
         # exact for t^k, k < 2 size: the integral of t^(k - exponent) over [0, 1]
         nodes, weights = specmodel._gauss_jacobi(exponent, size)
         k = np.arange(2 * size)
         moments = (nodes[:, None] ** k * weights[:, None]).sum(axis=0)
         np.testing.assert_allclose(moments, 1.0 / (k + 1.0 - exponent), rtol=1e-13)
+
+    def test_gauss_jacobi_stops_at_its_sweep_cap(self, monkeypatch):
+        # one sweep from the Gauss-Legendre guesses leaves steps far above a few ulps
+        monkeypatch.setattr(specmodel, "_ROOT_SWEEPS", 1)
+        with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
+            specmodel._gauss_jacobi.__wrapped__(0.5, 12)
 
     @pytest.mark.parametrize("real_symmetry", [False, True])
     @pytest.mark.parametrize(
