@@ -33,6 +33,7 @@ _EXIT_OK = 0
 _EXIT_DOMAIN = 1
 _EXIT_NUMERICAL = 2
 _EXIT_IO = 3
+_MAX_THREADS = 256  # most --threads workers; mc starts no more than it has blocks
 
 #: recognized keys, per section, per verb
 _SECTION_KEYS = {
@@ -88,22 +89,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="allow overwriting existing files")
         p.add_argument(
             "--threads", type=int, default=None,
-            help="worker processes for mc (0 = auto; default: FRACSPEC_THREADS or 1)",
+            help=f"mc workers, 0 (auto) to {_MAX_THREADS}; default: FRACSPEC_THREADS or 1",
         )
     return parser
 
 
 def _resolve_threads(flag: int | None) -> int:
+    name = "--threads" if flag is not None else "FRACSPEC_THREADS"
     if flag is None:
-        env = os.environ.get("FRACSPEC_THREADS", "").strip()
+        env = os.environ.get(name, "").strip()
         if not env:
             return 1
         try:
             flag = int(env)
         except ValueError as exc:
-            raise ConfigError(f"FRACSPEC_THREADS must be an integer, got {env!r}") from exc
-    if flag < 0:
-        raise ConfigError(f"--threads must be >= 0, got {flag}")
+            raise ConfigError(f"{name} must be an integer, got {env!r}") from exc
+    if not 0 <= flag <= _MAX_THREADS:
+        raise ConfigError(f"{name} must be between 0 and {_MAX_THREADS}, got {flag}")
     return flag if flag > 0 else (os.cpu_count() or 1)
 
 

@@ -143,11 +143,10 @@ def frac_truth_profile(
     points (`step` must divide num_points - 1), via high-resolution product
     integration; exact if constant.
 
-    On a grid whose points all lie on the TRUTH_POINTS grid it is
-    frac_integral's strided evaluation there, which computes only the points
-    asked for; it agrees with the full TRUTH_POINTS profile to a few ulps of
-    its largest value. Otherwise the full profile is interpolated onto the
-    grid and sliced.
+    The density is integrated on the smallest grid of at least TRUTH_POINTS
+    points that holds every point asked for, K (num_points - 1) + 1 points with
+    K = ceil((TRUTH_POINTS - 1) / (num_points - 1)), by frac_integral's strided
+    evaluation at stride K step, which computes only the points asked for.
     """
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
@@ -156,14 +155,9 @@ def frac_truth_profile(
     if model.kind == "constant":
         lam = np.linspace(0.0, TWO_PI, num_points)[::step]
         return GridFunction(model.c * lam ** (1.0 - alpha) / math.gamma(2.0 - alpha))
-    dens = model.density_grid(max(num_points, TRUTH_POINTS))
-    if (TRUTH_POINTS - 1) % (num_points - 1) == 0:
-        stride = (TRUTH_POINTS - 1) // (num_points - 1) * step
-        return fracops.frac_integral(dens, 1.0 - alpha, stride)
-    prof = fracops.frac_integral(dens, 1.0 - alpha)
-    if prof.num_points != num_points:
-        prof = GridFunction(prof.interp(np.linspace(0.0, TWO_PI, num_points)))
-    return GridFunction(prof.values[::step]) if step > 1 else prof
+    k = -(-(TRUTH_POINTS - 1) // (num_points - 1))
+    dens = model.density_grid(k * (num_points - 1) + 1)
+    return fracops.frac_integral(dens, 1.0 - alpha, k * step)
 
 
 def fejer_kernel(n: int, lam) -> np.ndarray | float:

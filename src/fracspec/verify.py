@@ -328,7 +328,6 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
         truth_fn = specmodel.frac_truth_profile(model, alpha, num_points)
         stream_base = (n_idx + 1) * _STREAM_MC
         block_args = []
-        workers = max(1, int(threads))
         block_size = math.ceil(rep / math.ceil(rep / 64))
         for r0 in range(stream_base, stream_base + rep, block_size):
             block_args.append(
@@ -338,7 +337,9 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
                     band_probes, h_grid, mean_fn.values, truth_fn.values,
                 )
             )
-        if workers > 1 and len(block_args) > 1:
+        # a fork pool starts all its workers at the first submit
+        workers = min(max(1, int(threads)), len(block_args))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -763,6 +763,27 @@ class TestMcVerb:
         assert rc == 1
 
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_threads_above_the_bound_exit_1_before_the_model(
+        self, source, tmp_path, monkeypatch, capsys, pool_sizes
+    ):
+        # the grid CSV is missing, which would exit 3 once the model is read
+        cfg = _write(
+            tmp_path / "mc.ini",
+            f"[model]\nkind = custom_grid\ngrid_csv_path = {tmp_path / 'none.csv'}\n\n"
+            "[mc]\nalpha = 0.25\nn_list = 128\nreplications = 130\n",
+        )
+        argv = ["mc", "--config", str(cfg), "--out", str(tmp_path / "m")]
+        if source == "flag":
+            argv += ["--threads", "100000"]
+        else:
+            monkeypatch.setenv("FRACSPEC_THREADS", "100000")
+        assert _run(*argv) == 1
+        name = "--threads" if source == "flag" else "FRACSPEC_THREADS"
+        assert f"{name} must be between 0 and 256, got 100000" in capsys.readouterr().err
+        assert pool_sizes == []
+
+
 class TestFejerVerb:
     def test_bias_table(self, tmp_path):
         cfg = _write(

@@ -144,6 +144,13 @@ class TestRunMonteCarlo:
         assert tables["cov.csv"].startswith("# fracspec\n# seed = 3\nn,lambda,mu,emp,theory,rel_err\n")
         assert tables["tails.csv"].startswith("# fracspec\n# seed = 3\nn,u,w0,w\n")
 
+    def test_pool_has_no_more_workers_than_blocks(self, pool_sizes):
+        # 130 replications are 3 blocks; a fork pool of 64 would start 64 processes
+        cfg = _config(n_list=(64,), replications=130)
+        report = verify.run_monte_carlo(CONST, cfg, threads=64)
+        assert pool_sizes == [3]
+        assert report.to_json_text() == verify.run_monte_carlo(CONST, cfg).to_json_text()
+
     def test_variance_matches_symmetric_convention(self):
         # empirical n * Var at interior probes matches the mirror-corrected
         # covariance (the even-weight constant is 2x larger there)
