@@ -35,30 +35,8 @@ _EXIT_NUMERICAL = 2
 _EXIT_IO = 3
 _MAX_THREADS = 256  # most --threads workers; mc starts no more than it has blocks
 
-#: recognized keys, per section, per verb
-_SECTION_KEYS = {
-    "model": {"kind", "c", "rho", "grid_csv_path"},
-    "simulate": {"n", "count", "mean", "seed"},
-    "estimate": {"path_csv", "alpha", "num_points"},
-    "truth": {"alpha", "num_points", "probe_lambdas"},
-    "mc": {
-        "alpha", "n_list", "replications", "probe_lambdas", "seed",
-        "tail_u_grid", "holder_delta", "delta_confidence", "grid_points",
-    },
-    "confidence": {
-        "alpha", "n", "delta", "calibration_draws", "replications",
-        "num_probes", "seed",
-    },
-    "fejer": {"n_list"},
-}
-_VERB_SECTIONS = {
-    "simulate": ("model", "simulate"),
-    "estimate": ("estimate",),
-    "truth": ("model", "truth"),
-    "mc": ("model", "mc"),
-    "confidence": ("model", "confidence"),
-    "fejer": ("model", "fejer"),
-}
+#: keys of [model], which every verb except estimate reads
+_MODEL_KEYS = {"kind", "c", "rho", "grid_csv_path"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,15 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fracspec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fracspec {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-    helps = {
-        "simulate": "draw stationary Gaussian sample paths and write them as CSV",
-        "estimate": "compute periodogram and fractional estimate for stored paths",
-        "truth": "write exact spectral function, fractional derivative, and limit covariance",
-        "mc": "run the Monte Carlo verification plan and write the report bundle",
-        "confidence": "calibrate a sup-norm confidence band and measure its coverage",
-        "fejer": "tabulate the smoothing bias of the expected periodogram over n",
-    }
-    for verb, help_text in helps.items():
+    for verb, (help_text, _, _) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", required=True, type=Path, help="INI experiment config")
         p.add_argument("--out", required=True, type=Path, help="output directory")
@@ -119,14 +89,15 @@ def _read_config(path: Path, verb: str) -> dict[str, dict[str, str]]:
     except (IniError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     sections = {name: dict(parser[name]) for name in parser.sections()}
-    allowed = _VERB_SECTIONS[verb]
+    _, keys, _ = _VERBS[verb]
+    allowed = {verb: keys} if verb == "estimate" else {"model": _MODEL_KEYS, verb: keys}
     unknown_sections = set(sections) - set(allowed)
     if unknown_sections:
         raise ConfigError(
             f"unknown config section(s) for verb {verb!r}: {sorted(unknown_sections)}"
         )
     for name, mapping in sections.items():
-        bad = set(mapping) - _SECTION_KEYS[name]
+        bad = set(mapping) - allowed[name]
         if bad:
             raise ConfigError(f"unknown key(s) in [{name}]: {sorted(bad)}")
     return sections
@@ -366,14 +337,38 @@ def _cmd_fejer(args, sections: dict, config_dir: Path) -> tuple[list[str], Itera
     return ["fejer.csv"], texts()
 
 
-#: each verb reads and checks its config, then returns its output names and lazy texts
-_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "truth": _cmd_truth,
-    "mc": _cmd_mc,
-    "confidence": _cmd_confidence,
-    "fejer": _cmd_fejer,
+#: per verb: its help, the keys of its own section, and its command, which reads and
+#: checks the config, then returns its output names and lazy texts
+_VERBS = {
+    "simulate": (
+        "draw stationary Gaussian sample paths and write them as CSV",
+        {"n", "count", "mean", "seed"}, _cmd_simulate,
+    ),
+    "estimate": (
+        "compute periodogram and fractional estimate for stored paths",
+        {"path_csv", "alpha", "num_points"}, _cmd_estimate,
+    ),
+    "truth": (
+        "write exact spectral function, fractional derivative, and limit covariance",
+        {"alpha", "num_points", "probe_lambdas"}, _cmd_truth,
+    ),
+    "mc": (
+        "run the Monte Carlo verification plan and write the report bundle",
+        {
+            "alpha", "n_list", "replications", "probe_lambdas", "seed",
+            "tail_u_grid", "holder_delta", "delta_confidence", "grid_points",
+        },
+        _cmd_mc,
+    ),
+    "confidence": (
+        "calibrate a sup-norm confidence band and measure its coverage",
+        {"alpha", "n", "delta", "calibration_draws", "replications", "num_probes", "seed"},
+        _cmd_confidence,
+    ),
+    "fejer": (
+        "tabulate the smoothing bias of the expected periodogram over n",
+        {"n_list"}, _cmd_fejer,
+    ),
 }
 
 
@@ -382,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sections = _read_config(args.config, args.verb)
         args.out.mkdir(parents=True, exist_ok=True)
-        names, texts = _DISPATCH[args.verb](args, sections, args.config.parent.resolve())
+        _, _, command = _VERBS[args.verb]
+        names, texts = command(args, sections, args.config.parent.resolve())
         _write_bundle(args.out, names, texts, args.force)
     except (DomainError, ConfigError) as exc:
         print(f"fracspec: error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -93,6 +94,52 @@ class TestPlumbing:
         )
         assert _run("fejer", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         assert "unknown key(s) in [fejer]" in capsys.readouterr().err
+
+    def test_malformed_config_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "m.ini", "alpha = 0.25\n[truth]\nnum_points = 17\n")
+        assert _run("truth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert f"fracspec: error: malformed config {cfg}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "verb, body, section",
+        [
+            ("truth", "[model]\nkind = ar1\nrho = 0.5\n\n[truth]\nalpha = 0.25\n\n[mc]\n", "mc"),
+            ("estimate", "[model]\nkind = ar1\nrho = 0.5\n\n[estimate]\nalpha = 0.25\n", "model"),
+        ],
+        ids=["mc-in-truth", "model-in-estimate"],
+    )
+    def test_section_the_verb_does_not_read_is_config_error(
+        self, tmp_path, capsys, verb, body, section
+    ):
+        cfg = _write(tmp_path / "s.ini", body)
+        out = tmp_path / "o"
+        out.mkdir()
+        _write(out / "keep.csv", "keep\n")
+        assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"fracspec: error: unknown config section(s) for verb {verb!r}: [{section!r}]\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["keep.csv"]
+        assert (out / "keep.csv").read_text() == "keep\n"
+
+    def test_help_lists_every_verb(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            _run("--help")
+        assert e.value.code == 0
+        words = " ".join(capsys.readouterr().out.split())
+        for verb, help_text in [
+            ("simulate", "draw stationary Gaussian sample paths and write them as CSV"),
+            ("estimate", "compute periodogram and fractional estimate for stored paths"),
+            (
+                "truth",
+                "write exact spectral function, fractional derivative, and limit covariance",
+            ),
+            ("mc", "run the Monte Carlo verification plan and write the report bundle"),
+            ("confidence", "calibrate a sup-norm confidence band and measure its coverage"),
+            ("fejer", "tabulate the smoothing bias of the expected periodogram over n"),
+        ]:
+            assert f" {verb} {help_text} " in words, verb
 
     @pytest.mark.parametrize(
         "verb, body",
@@ -748,10 +795,25 @@ class TestMcVerb:
         for name in sorted(names - {"report.json"}):
             assert (out / name).read_text().startswith(f"# fracspec {__version__}\n"), name
 
-    def test_outputs_identical_across_threads(self, mc_ini, tmp_path):
+    def test_outputs_identical_across_threads(self, tmp_path, monkeypatch):
+        # 130 replications are 3 blocks of at most 64, so 2 threads open a real pool
+        cfg = _write(
+            tmp_path / "mc.ini",
+            f"[model]\nkind = constant\nc = {CONST_C!r}\n\n"
+            "[mc]\nalpha = 0.25\nn_list = 128\nreplications = 130\nseed = 2\n",
+        )
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert _run("mc", "--config", str(mc_ini), "--out", str(out1), "--threads", "1") == 0
-        assert _run("mc", "--config", str(mc_ini), "--out", str(out2), "--threads", "2") == 0
+        assert _run("mc", "--config", str(cfg), "--out", str(out1), "--threads", "1") == 0
+        assert _run("mc", "--config", str(cfg), "--out", str(out2), "--threads", "2") == 0
+        assert sizes == [2]
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:

@@ -180,3 +180,34 @@ def test_default_grid_points_caps():
     assert estimate.default_grid_points(256) == 4097
     assert estimate.default_grid_points(2048) == 8193
     assert estimate.default_grid_points(1 << 20) == estimate.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda path, j: estimate.periodogram(path, 1),
+            "periodogram needs num_points >= 2, got 1",
+        ),
+        (lambda path, j: estimate.plugin_variance(j, 0, 0.25, math.pi), "n must be at least 1"),
+        (
+            lambda path, j: estimate.plugin_variance(j, 64, 0.5, math.pi),
+            "alpha must lie in (0, 1/2), got 0.5",
+        ),
+        (
+            lambda path, j: estimate.plugin_variance(j, 64, 0.25, 0.0),
+            "lambda must lie in (0, 2*pi], got 0.0",
+        ),
+        (
+            lambda path, j: estimate.plugin_variance(j, 64, 0.25, 7.0),
+            "lambda must lie in (0, 2*pi], got 7.0",
+        ),
+    ],
+    ids=["periodogram-1-point", "plugin-n-0", "plugin-alpha-half", "plugin-lam-0", "plugin-lam-7"],
+)
+def test_refusals_name_the_bad_input(call, message):
+    path = gsim.sample_path(AR1, 64, seed=0)
+    j = estimate.periodogram(path, 257)
+    with pytest.raises(DomainError) as exc:
+        call(path, j)
+    assert message in str(exc.value)

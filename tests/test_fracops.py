@@ -335,3 +335,29 @@ class TestModulus:
         g = GridFunction(np.ones(65))
         with pytest.raises(DomainError):
             fracops.modulus_of_continuity(g, g.spacing / 10)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda g: fracops.frac_derivative(g, 0.0),
+            "frac_derivative order must be in (0, 1), got 0.0",
+        ),
+        (
+            lambda g: fracops.frac_derivative(g, 1.0),
+            "frac_derivative order must be in (0, 1), got 1.0",
+        ),
+        (lambda g: fracops.modulus_of_continuity(g, 7.0), "modulus window h=7.0 exceeds 2*pi"),
+        (
+            lambda g: fracops.modulus_profile(g, np.array([g.spacing / 10, 1.0])),
+            "modulus window below grid spacing",
+        ),
+    ],
+    ids=["derivative-order-0", "derivative-order-1", "modulus-above-2pi", "profile-below-spacing"],
+)
+def test_refusals_name_the_bad_input(call, message):
+    g = GridFunction(np.cos(np.linspace(0.0, TWO_PI, 65)), periodic=True)
+    with pytest.raises(DomainError) as exc:
+        call(g)
+    assert message in str(exc.value)

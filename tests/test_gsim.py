@@ -148,3 +148,21 @@ class TestLimitProcess:
         a = gsim.sample_limit_process(cov, seed=4, draws=3)
         b = gsim.sample_limit_process(cov, seed=4, draws=3)
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gsim.SamplePath(3, np.zeros(4), seed=0, model_id="x"), "length 4 != n = 3"),
+        (
+            lambda: gsim.SamplePath(2, np.array([0.0, np.nan]), seed=0, model_id="x"),
+            "sample path contains non-finite values",
+        ),
+        (lambda: gsim.sample_path(AR1, 0, seed=0), "sample_path needs n >= 1, got 0"),
+    ],
+    ids=["path-length-not-n", "path-non-finite", "sample-n-0"],
+)
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(gsim.SamplingError) as exc:
+        call()
+    assert message in str(exc.value)

@@ -546,3 +546,64 @@ class TestProductRule:
         diag = [specmodel.theta_point(model, alpha, p, p, real_symmetry) for p in probes]
         # the projection moves the diagonal by at most the clipped eigenvalues
         np.testing.assert_allclose(np.diag(cov.matrix), diag, rtol=1e-9, atol=1e-12 * scale)
+
+
+def _density_with_a_zero() -> GridFunction:
+    values = np.ones(17)
+    values[8] = 0.0
+    return GridFunction(values, periodic=True)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SpectralModel("custom_grid"), "custom_grid model needs a GridFunction density"),
+        (
+            lambda: SpectralModel("custom_grid", grid_fn=_density_with_a_zero()),
+            "custom density must be strictly positive",
+        ),
+        (lambda: SpectralModel("spline"), "unknown model kind 'spline'"),
+        (
+            lambda: specmodel.frac_truth_profile(AR1, 0.5, 17),
+            "alpha must lie in [0, 1/2), got 0.5",
+        ),
+        (lambda: specmodel.fejer_kernel(0, 1.0), "fejer_kernel needs n >= 1, got 0"),
+        (
+            lambda: specmodel.expected_periodogram(AR1, 0, 17),
+            "expected_periodogram needs n >= 1, got 0",
+        ),
+        (lambda: specmodel.expected_periodogram(AR1, 8, 1), "out_grid must be >= 2"),
+        (lambda: specmodel.beta_sq(AR1, -0.1), "lambda must lie in [0, 2*pi], got -0.1"),
+        (lambda: specmodel.beta_sq(AR1, 7.0), "lambda must lie in [0, 2*pi], got 7.0"),
+        (
+            lambda: specmodel.limit_covariance(AR1, 0.5, [1.0]),
+            "alpha must lie in [0, 1/2), got 0.5",
+        ),
+        (
+            lambda: specmodel.limit_covariance(AR1, 0.25, []),
+            "probe_grid must be a non-empty 1-d array",
+        ),
+        (
+            lambda: specmodel.limit_covariance(AR1, 0.25, [[1.0, 2.0]]),
+            "probe_grid must be a non-empty 1-d array",
+        ),
+        (
+            lambda: specmodel.limit_covariance(AR1, 0.25, [0.0, 1.0]),
+            "probes must lie in (0, 2*pi]",
+        ),
+        (
+            lambda: specmodel.limit_covariance(AR1, 0.25, [1.0, 7.0]),
+            "probes must lie in (0, 2*pi]",
+        ),
+    ],
+    ids=[
+        "custom-no-grid", "custom-zero-density", "unknown-kind", "truth-alpha-half",
+        "fejer-n-0", "expected-n-0", "expected-out-grid-1", "beta-below-0", "beta-above-2pi",
+        "theta-alpha-half", "theta-no-probes", "theta-2d-probes", "theta-probe-0",
+        "theta-probe-above-2pi",
+    ],
+)
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert message in str(exc.value)

@@ -296,3 +296,18 @@ def test_script_runs(script, reps):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"n_list": (128, 0)}, "n_list must hold positive integers, got (128, 0)"),
+        ({"tail_u_grid": (1.0, 0.0)}, "tail_u_grid entries must be positive"),
+        ({"tail_u_grid": (-1.0,)}, "tail_u_grid entries must be positive"),
+    ],
+    ids=["n-list-entry-0", "tail-u-0", "tail-u-negative"],
+)
+def test_mc_config_refusals_name_the_bad_input(kw, message):
+    with pytest.raises(DomainError) as exc:
+        _config(**kw)
+    assert message in str(exc.value)
