@@ -13,21 +13,21 @@ import sys
 import tempfile
 from configparser import ConfigParser, Error as IniError
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 # the linear algebra is small, and an idle BLAS worker spins beside the FFT loop and
 # multiplies with the --threads pool workers, which inherit this environment
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-import numpy as np
-
-from . import __version__, specmodel, verify
+# numpy and the numerical modules are imported by the commands that run them, so
+# help, version, usage and config-file errors exit without loading numpy
+from . import __version__
 from .errors import ConfigError, DomainError, NumericalError
-from .estimate import MAX_GRID_POINTS, MAX_N, default_grid_points, frac_estimate, periodogram
-from .grid import TWO_PI, GridFunction, csv_table
-from .gsim import SamplePath, sample_path
-from .specmodel import SpectralModel, limit_covariance
+
+if TYPE_CHECKING:
+    from .specmodel import SpectralModel
+    from .verify import McConfig
 
 _EXIT_OK = 0
 _EXIT_DOMAIN = 1
@@ -116,6 +116,8 @@ def _get(section: dict, key: str, cast, default=None):
 
 
 def _grid_points(section: dict, key: str, default: int) -> int:
+    from .estimate import MAX_GRID_POINTS
+
     num_points = _get(section, key, int, default)
     if not 0 <= num_points <= MAX_GRID_POINTS:
         raise ConfigError(f"{key} must be between 0 and {MAX_GRID_POINTS}, got {num_points}")
@@ -146,6 +148,8 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 
 def _n_list(section: dict) -> tuple[int, ...]:
+    from .estimate import MAX_N
+
     n_list = _get(section, "n_list", _int_list)
     if not n_list or not all(1 <= n <= MAX_N for n in n_list):
         raise ConfigError(f"n_list must hold positive integers up to {MAX_N}, got {n_list!r}")
@@ -156,7 +160,16 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
+def _seed(section: dict, override: int | None) -> int:
+    # the config seed is checked even when --seed replaces it
+    seed = _get(section, "seed", int, 0)
+    return seed if override is None else override
+
+
 def _model_from(sections: dict, config_dir: Path) -> SpectralModel:
+    from .grid import GridFunction
+    from .specmodel import SpectralModel
+
     if "model" not in sections:
         raise ConfigError("config is missing required section [model]")
     section = sections["model"]
@@ -171,20 +184,21 @@ def _model_from(sections: dict, config_dir: Path) -> SpectralModel:
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def build_mc_config(sections: dict, seed_override: int | None) -> verify.McConfig:
+def build_mc_config(sections: dict, seed_override: int | None) -> McConfig:
+    from .verify import DEFAULT_TAIL_GRID, McConfig
+
     mc = sections.get("mc", {})
     grid_points = _grid_points(mc, "grid_points", 0) or None
     n_list = _n_list(mc)
     probes = _get(mc, "probe_lambdas", _float_list, (math.pi / 2, math.pi))
-    seed = seed_override if seed_override is not None else _get(mc, "seed", int, 0)
     # McConfig is the one check of replications, probe_lambdas and holder_delta
-    return verify.McConfig(
+    return McConfig(
         alpha=_get(mc, "alpha", float),
         n_list=n_list,
         replications=_get(mc, "replications", int),
         probe_lambdas=probes,
-        seed=seed,
-        tail_u_grid=_get(mc, "tail_u_grid", _float_list, verify.DEFAULT_TAIL_GRID),
+        seed=_seed(mc, seed_override),
+        tail_u_grid=_get(mc, "tail_u_grid", _float_list, DEFAULT_TAIL_GRID),
         holder_delta=_get(mc, "holder_delta", float) if "holder_delta" in mc else None,
         delta_confidence=_get(mc, "delta_confidence", float, 0.05),
         grid_points=grid_points,
@@ -232,14 +246,17 @@ def _header(sections: dict, seed: int | None, grid_sizes: dict) -> list[str]:
 
 
 def _cmd_simulate(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
+    from .estimate import MAX_N
+    from .gsim import sample_path
+
     sim = sections.get("simulate", {})
     n = _size(sim, "n", most=MAX_N)
     count = _size(sim, "count", 1)
-    model = _model_from(sections, config_dir)
     mean = _get(sim, "mean", float, 0.0)
     if not math.isfinite(mean):
         raise ConfigError(f"mean must be finite, got {mean!r}")
-    seed = args.seed if args.seed is not None else _get(sim, "seed", int, 0)
+    seed = _seed(sim, args.seed)
+    model = _model_from(sections, config_dir)
     header = _header(sections, seed, {"n": n})
     texts = (
         sample_path(model, n, seed, mean=mean, stream=k).to_csv_text(
@@ -251,6 +268,9 @@ def _cmd_simulate(args, sections: dict, config_dir: Path) -> tuple[list[str], It
 
 
 def _cmd_estimate(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
+    from .estimate import default_grid_points, frac_estimate, periodogram
+    from .gsim import SamplePath
+
     est = sections.get("estimate", {})
     alpha = _alpha(est)
     num_points = _grid_points(est, "num_points", 0)
@@ -267,6 +287,12 @@ def _cmd_estimate(args, sections: dict, config_dir: Path) -> tuple[list[str], It
 
 
 def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
+    import numpy as np
+
+    from . import specmodel, verify
+    from .grid import TWO_PI
+    from .specmodel import limit_covariance
+
     tr = sections.get("truth", {})
     num_points = _grid_points(tr, "num_points", 4097)
     alpha = _alpha(tr)
@@ -286,6 +312,8 @@ def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Itera
 
 
 def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
+    from . import verify
+
     config = build_mc_config(sections, args.seed)
     threads = _resolve_threads(args.threads)
     model = _model_from(sections, config_dir)
@@ -304,6 +332,10 @@ def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator
 
 
 def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
+    from . import verify
+    from .estimate import MAX_N
+    from .grid import csv_table
+
     cf = sections.get("confidence", {})
     num_probes = _get(cf, "num_probes", int, verify.BAND_PROBES)
     n = _size(cf, "n", most=MAX_N)
@@ -312,8 +344,8 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], 
     delta = _get(cf, "delta", float, 0.05)
     draws = _get(cf, "calibration_draws", int, 5000)
     verify._check_band(delta, draws, reps, num_probes)
+    seed = _seed(cf, args.seed)
     model = _model_from(sections, config_dir)
-    seed = args.seed if args.seed is not None else _get(cf, "seed", int, 0)
     header = _header(sections, seed, {"n": n, "num_probes": num_probes})
 
     def texts() -> Iterator[str]:
@@ -326,6 +358,9 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], 
 
 
 def _cmd_fejer(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
+    from . import verify
+    from .grid import csv_table
+
     n_list = _n_list(sections.get("fejer", {}))
     model = _model_from(sections, config_dir)
     header = _header(sections, None, {"n_list": " ".join(map(str, n_list))})

@@ -322,6 +322,9 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
     )
 
     probe_theory = limit_covariance(model, alpha, np.array(config.probe_lambdas))
+    # every n's Fejér bias (two floats) before the first replication block, so its
+    # temporaries are freed before the blocks allocate; the grids stay per n
+    report.fejer_rows.extend((n, *_fejer_bias(model, n)) for n in config.n_list)
     for n_idx, n in enumerate(config.n_list):
         num_points = config.grid_points or default_grid_points(n)
         mean_fn = expected_estimate(model, n, alpha, num_points)
@@ -378,7 +381,6 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
             ratios = agg["holder_moduli"][:, k] / h**config.holder_delta
             report.holder_rows.append((n, h, _quantile(ratios, 0.95)))
 
-        report.fejer_rows.append((n, *_fejer_bias(model, n)))
         coverage = float(np.mean(agg["band_sup_deviation"] <= u0))
         report.confidence_rows.append((n, config.delta_confidence, u0, coverage))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspec import GridFunction, __version__, cli, gsim, specmodel, verify
+from fracspec import GridFunction, __version__, cli, estimate, gsim, specmodel, verify
 from fracspec.cli import main
 
 CONST_C = 1.0 / (2.0 * math.pi)
@@ -336,6 +336,32 @@ class TestPlumbing:
         }
         assert cli.build_mc_config(sections, None).replications == most
 
+    @pytest.mark.parametrize("flag", [(), ("--seed", "5")], ids=["config-seed", "seed-flag"])
+    @pytest.mark.parametrize(
+        "verb, section, key",
+        [
+            ("simulate", "[simulate]\nn = 64\n", "seed"),
+            ("simulate", "[simulate]\nn = 64\n", "mean"),
+            ("mc", "[mc]\nalpha = 0.25\nn_list = 64\nreplications = 10\n", "seed"),
+            ("confidence", "[confidence]\nalpha = 0.25\nn = 64\n", "seed"),
+        ],
+        ids=["simulate", "simulate-mean", "mc", "confidence"],
+    )
+    def test_bad_seed_or_mean_is_config_error_before_the_model(
+        self, tmp_path, capsys, verb, section, key, flag
+    ):
+        # simulate and confidence read these after the model, so the missing
+        # grid CSV exited 3; under --seed no verb read the seed, and simulate
+        # and mc exited 0 with "seed = abc" in every header
+        cfg = _write(
+            tmp_path / "s.ini",
+            f"[model]\nkind = custom_grid\ngrid_csv_path = missing.csv\n\n{section}{key} = abc\n",
+        )
+        out = tmp_path / "o"
+        assert _run(verb, "--config", str(cfg), "--out", str(out), *flag) == 1
+        assert capsys.readouterr().err == f"fracspec: error: invalid value for {key!r}: 'abc'\n"
+        assert list(out.iterdir()) == []
+
     def test_mc_two_replications_run(self, tmp_path, capsys):
         cfg = _write(
             tmp_path / "m.ini",
@@ -428,8 +454,8 @@ class TestPlumbing:
             ("truth", "[model]\nkind = constant\nc = 1\n\n[truth]\nalpha = 0.25\n"
                       "num_points = 257\n", "theta.csv", (specmodel, "spectral_profile")),
             ("estimate", "[estimate]\npath_csv = path.csv\nalpha = 0.25\nnum_points = 17\n",
-             "estimate.csv", (cli, "periodogram")),
-            ("simulate", None, "path_001.csv", (cli, "sample_path")),
+             "estimate.csv", (estimate, "periodogram")),
+            ("simulate", None, "path_001.csv", (gsim, "sample_path")),
             ("confidence", "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.25\n"
                            "n = 64\n", "confidence.csv", (verify, "confidence_band")),
             ("fejer", "[model]\nkind = ar1\nrho = 0.5\n\n[fejer]\nn_list = 64\n",
@@ -605,7 +631,7 @@ class TestSimulate:
     def test_non_finite_mean_is_config_error(self, tmp_path, capsys, monkeypatch, mean):
         # these used to reach SamplePath and exit 2 as a numerical error;
         # the check runs before any draw
-        monkeypatch.setattr(cli, "sample_path", None)
+        monkeypatch.setattr(gsim, "sample_path", None)
         cfg = _write(
             tmp_path / "s.ini",
             f"[model]\nkind = ar1\nrho = 0.5\n\n[simulate]\nn = 64\nmean = {mean}\n",
@@ -905,7 +931,8 @@ class TestImportGraph:
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task to count threads")
         proc = self._python(
-            "import os, fracspec.cli\n"
+            # the CLI loads numpy only in a verb; the pin must act before that load
+            "import os, fracspec.cli, numpy\n"
             "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))",
             env=_env_without_blas_threads(),
         )
@@ -938,6 +965,55 @@ class TestImportGraph:
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_cli_import_loads_no_numpy(self):
+        proc = self._python("import sys, fracspec.cli\nprint('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            (["--version"], 0),
+            (["frobnicate", "--config", "x", "--out", "y"], 1),
+            (["mc", "--out", "y"], 1),
+            (["mc", "--config", "{tmp}/missing.ini", "--out", "{tmp}/o"], 1),
+            (["truth", "--config", "{tmp}/unknown_key.ini", "--out", "{tmp}/o"], 1),
+            (["truth", "--config", "{tmp}/malformed.ini", "--out", "{tmp}/o"], 1),
+        ],
+        ids=["help", "version", "unknown-verb", "no-config", "missing-config", "unknown-key",
+             "malformed-config"],
+    )
+    def test_exit_without_a_verb_loads_no_numpy(self, tmp_path, argv, code):
+        _write(tmp_path / "unknown_key.ini", "[model]\nkind = ar1\nrho = 0.5\nsigma = 1\n")
+        _write(tmp_path / "malformed.ini", "kind = ar1\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        proc = self._python(
+            "import sys\nfrom fracspec.cli import main\n"
+            f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+            "print(code, 'numpy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == [str(code), "False"], proc.stderr
+
+    def test_simulate_and_estimate_load_no_verify(self, tmp_path):
+        # verify holds the checks of truth, mc, confidence and fejer only
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        est_ini = _write(
+            tmp_path / "est.ini",
+            f"[estimate]\npath_csv = {tmp_path / 'sim' / 'path_000.csv'}\nalpha = 0.25\n",
+        )
+        sim_ini = configs / "simulate_ar1.ini"
+        sim = ["simulate", "--config", str(sim_ini), "--out", str(tmp_path / "sim")]
+        est = ["estimate", "--config", str(est_ini), "--out", str(tmp_path / "est")]
+        proc = self._python(
+            "import sys\nfrom fracspec.cli import main\n"
+            f"print(main({sim!r}), 'fracspec.verify' in sys.modules)\n"
+            f"print(main({est!r}), 'fracspec.verify' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
 
     def test_cli_import_loads_no_process_pool(self):
         proc = self._python(
