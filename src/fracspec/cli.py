@@ -34,6 +34,8 @@ _EXIT_DOMAIN = 1
 _EXIT_NUMERICAL = 2
 _EXIT_IO = 3
 _MAX_THREADS = 256  # most --threads workers; mc starts no more than it has blocks
+_MAX_PATHS = 2**16  # most simulate files; their names are listed before any is drawn
+MAX_N = 2**20  # path-length ceiling: at MAX_N `fejer` already allocates 53 MB grids
 
 #: keys of [model], which every verb except estimate reads
 _MODEL_KEYS = {"kind", "c", "rho", "grid_csv_path"}
@@ -148,8 +150,6 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 
 def _n_list(section: dict) -> tuple[int, ...]:
-    from .estimate import MAX_N
-
     n_list = _get(section, "n_list", _int_list)
     if not n_list or not all(1 <= n <= MAX_N for n in n_list):
         raise ConfigError(f"n_list must hold positive integers up to {MAX_N}, got {n_list!r}")
@@ -246,12 +246,11 @@ def _header(sections: dict, seed: int | None, grid_sizes: dict) -> list[str]:
 
 
 def _cmd_simulate(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
-    from .estimate import MAX_N
     from .gsim import sample_path
 
     sim = sections.get("simulate", {})
     n = _size(sim, "n", most=MAX_N)
-    count = _size(sim, "count", 1)
+    count = _size(sim, "count", 1, most=_MAX_PATHS)
     mean = _get(sim, "mean", float, 0.0)
     if not math.isfinite(mean):
         raise ConfigError(f"mean must be finite, got {mean!r}")
@@ -287,17 +286,13 @@ def _cmd_estimate(args, sections: dict, config_dir: Path) -> tuple[list[str], It
 
 
 def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
-    import numpy as np
-
-    from . import specmodel, verify
-    from .grid import TWO_PI
-    from .specmodel import limit_covariance
+    from . import specmodel
 
     tr = sections.get("truth", {})
     num_points = _grid_points(tr, "num_points", 4097)
     alpha = _alpha(tr)
-    default = (math.pi / 2, math.pi, TWO_PI)
-    probes = verify._check_probes(_get(tr, "probe_lambdas", _float_list, default))
+    default = (math.pi / 2, math.pi, 2.0 * math.pi)
+    probes = specmodel._check_probes(_get(tr, "probe_lambdas", _float_list, default))
     model = _model_from(sections, config_dir)
     header = _header(sections, None, {"grid_points": num_points})
     with_alpha = header + [f"alpha = {alpha:g}"]
@@ -306,7 +301,7 @@ def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Itera
         yield specmodel.spectral_profile(model, num_points).to_csv_text(comments=header)
         truth = specmodel.frac_truth_profile(model, alpha, num_points)
         yield truth.to_csv_text(comments=with_alpha)
-        yield limit_covariance(model, alpha, np.array(probes)).to_csv_text(comments=with_alpha)
+        yield specmodel.limit_covariance(model, alpha, probes).to_csv_text(comments=with_alpha)
 
     return ["spectral_function.csv", "frac_derivative.csv", "theta.csv"], texts()
 
@@ -333,7 +328,6 @@ def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator
 
 def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     from . import verify
-    from .estimate import MAX_N
     from .grid import csv_table
 
     cf = sections.get("confidence", {})
@@ -358,7 +352,7 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], 
 
 
 def _cmd_fejer(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
-    from . import verify
+    from . import specmodel
     from .grid import csv_table
 
     n_list = _n_list(sections.get("fejer", {}))
@@ -366,7 +360,7 @@ def _cmd_fejer(args, sections: dict, config_dir: Path) -> tuple[list[str], Itera
     header = _header(sections, None, {"n_list": " ".join(map(str, n_list))})
 
     def texts() -> Iterator[str]:
-        rows = [(n, *verify._fejer_bias(model, n)) for n in n_list]
+        rows = [(n, *specmodel._fejer_bias(model, n)) for n in n_list]
         yield csv_table("n,sup_err,bound", rows, comments=header)
 
     return ["fejer.csv"], texts()

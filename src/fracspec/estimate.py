@@ -4,19 +4,19 @@ fractional estimator, and the plug-in variance of the limit law."""
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import fracops
 from .errors import DomainError
 from .grid import TWO_PI, GridFunction, even_grid_function
-from .gsim import SamplePath
+
+if TYPE_CHECKING:
+    from .gsim import SamplePath
 
 #: evaluation-grid ceiling; finer grids only add quadrature cost
 MAX_GRID_POINTS = 65537
-
-#: path-length ceiling of the CLI: at MAX_N `fejer` already allocates 53 MB grids
-MAX_N = 2**20
 
 
 def default_grid_points(n: int) -> int:

@@ -20,10 +20,12 @@ PERIODIC_TOL = 1e-12
 
 
 def csv_table(header: str, rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:
-    """CSV text: one `# ` line per comment, the header line, then one line per
-    row; floats (numpy's included) print with 17 significant digits,
-    everything else with str."""
-    lines = [f"# {line}" for line in comments]
+    """CSV text: the comments, each of their lines starting with `# `, the
+    header line, then one line per row; floats (numpy's included) print with
+    17 significant digits, everything else with str. A comment may hold line
+    breaks (a config value written over several lines); its lines are split as
+    str.splitlines splits them, as the CSV readers do."""
+    lines = [f"# {part}" for line in comments for part in (line.splitlines() or [""])]
     lines.append(header)
     lines += [
         ",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) for row in rows

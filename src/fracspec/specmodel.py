@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from .grid import TWO_PI, GridFunction, csv_table, even_grid_function
 
 #: resolution of the high-accuracy truth profiles
 TRUTH_POINTS = 65537
+
+#: most probes of one limit covariance (the confidence band's num_probes, the
+#: truth and mc probe_lambdas): it has MAX_PROBES (MAX_PROBES + 1) / 2 probe pairs
+MAX_PROBES = 1024
 
 #: Gauss nodes per panel of the limit-covariance product rule, and of the
 #: larger rule it is checked against
@@ -191,6 +195,17 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
     m_circle = out_grid - 1
     folded = np.bincount(np.arange(n) % m_circle, weights=coeff, minlength=m_circle)
     return even_grid_function((2.0 * np.fft.rfft(folded).real - coeff[0]) / TWO_PI, out_grid)
+
+
+def _fejer_bias(model: SpectralModel, n: int) -> tuple[float, float]:
+    """(sup |Fejer-smoothed f - f|, omega(f, 1/n) |ln omega(f, 1/n)|)."""
+    pts = int(math.ceil(TWO_PI * n)) + 2
+    dens = model.density_grid(pts)
+    smoothed = expected_periodogram(model, n, pts)
+    sup_err = float(np.max(np.abs(smoothed.values - dens.values)))
+    omega = fracops.modulus_of_continuity(dens, max(1.0 / n, dens.spacing))
+    bound = omega * abs(math.log(omega)) if omega > 0 else 0.0
+    return sup_err, bound
 
 
 def beta_sq(model: SpectralModel, lam: float) -> float:
@@ -459,6 +474,24 @@ def theta_point(model: SpectralModel, alpha: float, lam, mu, real_symmetry: bool
     return float(out) if out.ndim == 0 else out
 
 
+def _check_probes(probes: Iterable[float]) -> tuple[float, ...]:
+    """Refuse probe_lambdas that are not a 1-d list, then a count out of
+    bounds, then a probe out of (0, 2 pi]; return them as floats. This is
+    limit_covariance's probe check, and the mc plan and the truth verb call it
+    before the model is read."""
+    values = np.asarray(probes, dtype=float)
+    if values.ndim != 1:
+        raise DomainError(f"probe_lambdas must be a 1-d list, got shape {values.shape}")
+    if not 1 <= values.size <= MAX_PROBES:
+        raise DomainError(
+            f"probe_lambdas must hold between 1 and {MAX_PROBES} values, got {values.size}"
+        )
+    probes = tuple(values.tolist())
+    if not all(0.0 < p <= TWO_PI for p in probes):
+        raise DomainError(f"probe_lambdas must lie in (0, 2*pi], got {probes!r}")
+    return probes
+
+
 def limit_covariance(
     model: SpectralModel,
     alpha: float,
@@ -473,11 +506,7 @@ def limit_covariance(
     """
     if not (0.0 <= alpha < 0.5):
         raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
-    probes = np.asarray(probe_grid, dtype=float)
-    if probes.ndim != 1 or probes.size == 0:
-        raise DomainError("probe_grid must be a non-empty 1-d array")
-    if np.any(probes <= 0.0) or np.any(probes > TWO_PI + 1e-12):
-        raise DomainError("probes must lie in (0, 2*pi]")
+    probes = np.array(_check_probes(probe_grid))
     rows, cols = np.tril_indices(probes.size)
     mat = np.empty((probes.size, probes.size))
     mat[rows, cols] = mat[cols, rows] = theta_point(

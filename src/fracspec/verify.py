@@ -1,12 +1,14 @@
-"""Monte Carlo verification harness: bias decay, covariance convergence,
-normality, Holder-modulus scaling, exponential tails, Fejer bias, and
-sup-norm confidence bands."""
+"""Monte Carlo verification harness of the mc and confidence verbs: bias
+decay, covariance convergence, normality, Holder-modulus scaling,
+exponential tails, and sup-norm confidence bands."""
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -16,7 +18,7 @@ from .errors import DomainError
 from .estimate import default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, GridFunction, csv_table
 from .gsim import _limit_normals, sample_path
-from .specmodel import LimitCovariance, SpectralModel, limit_covariance
+from .specmodel import MAX_PROBES, LimitCovariance, SpectralModel, _check_probes, limit_covariance
 
 #: stream-index offsets keeping replication phases disjoint
 _STREAM_MC = 1 << 40
@@ -31,10 +33,6 @@ DEFAULT_TAIL_GRID = tuple(0.5 * k for k in range(1, 9))
 
 #: probes of the sup-norm band (mc and confidence_band default)
 BAND_PROBES = 64
-
-#: most probes of one limit covariance (the confidence band's num_probes, the
-#: truth and mc probe_lambdas): it has MAX_PROBES (MAX_PROBES + 1) / 2 probe pairs
-MAX_PROBES = 1024
 
 #: limit-process draws calibrating the mc band half-width u0
 MC_CALIBRATION_DRAWS = 2000
@@ -59,19 +57,6 @@ MC_TABLES = (
 )
 
 
-def _check_probes(probes: Iterable[float]) -> tuple[float, ...]:
-    """Refuse probe_lambdas out of bounds, the count and then the range, and
-    return them as floats; the mc plan and the truth verb share this check."""
-    probes = tuple(float(x) for x in probes)
-    if not 1 <= len(probes) <= MAX_PROBES:
-        raise DomainError(
-            f"probe_lambdas must hold between 1 and {MAX_PROBES} values, got {len(probes)}"
-        )
-    if not all(0.0 < p <= TWO_PI for p in probes):
-        raise DomainError(f"probe_lambdas must lie in (0, 2*pi], got {probes!r}")
-    return probes
-
-
 @dataclass(frozen=True, eq=False)
 class McConfig:
     """One Monte Carlo plan: estimator order, sizes, replications. It holds no
@@ -94,6 +79,10 @@ class McConfig:
             )
         if not self.n_list or any(int(n) < 1 for n in self.n_list):
             raise DomainError(f"n_list must hold positive integers, got {self.n_list!r}")
+        # each table keys its rows by n, so a repeated size could not be told apart
+        repeated = sorted(n for n, count in Counter(map(int, self.n_list)).items() if count > 1)
+        if repeated:
+            raise DomainError(f"n_list must not repeat a size, got {repeated[0]} twice or more")
         if int(self.replications) < 2:
             # the sample covariance of the probes needs two replications
             raise DomainError(f"replications must be at least 2, got {self.replications!r}")
@@ -217,6 +206,10 @@ def _band_probes(num_probes: int) -> np.ndarray:
     return np.linspace(TWO_PI / num_probes, TWO_PI, num_probes)
 
 
+#: the probes of the mc band
+_MC_BAND = _band_probes(BAND_PROBES)
+
+
 def _sup_norms(cov: LimitCovariance, seed: int, draws: int) -> np.ndarray:
     """max |limit process| over the probes of each of `draws` draws: the
     normals of gsim.sample_limit_process, multiplied by the factor one column
@@ -244,19 +237,14 @@ def _band_half_width(
 
 
 def _run_block(
-    model: SpectralModel,
-    n: int,
-    alpha: float,
-    num_points: int,
-    seed: int,
+    model: SpectralModel, n: int, alpha: float, num_points: int, seed: int,
+    probes: tuple[float, ...], mean_values: np.ndarray, truth_values: np.ndarray,
     streams: range,
-    probes: tuple[float, ...],
-    band_probes: np.ndarray,
-    h_grid: tuple[float, ...],
-    mean_values: np.ndarray,
-    truth_values: np.ndarray,
 ) -> dict:
+    """The per-replication records of one block of streams; run_monte_carlo
+    binds every argument but the streams once per n."""
     lam = np.linspace(0.0, TWO_PI, num_points)
+    windows = np.array(DEFAULT_H_GRID)
     count = len(streams)
     out = {
         "sum_estimate": np.zeros(num_points),
@@ -264,7 +252,7 @@ def _run_block(
         "sup_centered": np.empty(count),
         "sup_deviation": np.empty(count),
         "band_sup_deviation": np.empty(count),
-        "holder_moduli": np.empty((count, len(h_grid))),
+        "holder_moduli": np.empty((count, windows.size)),
     }
     scale = math.sqrt(n)
     for i, values in enumerate(replicate(model, n, alpha, num_points, seed, streams)):
@@ -274,8 +262,8 @@ def _run_block(
         out["probe_centered"][i] = np.interp(probes, lam, centered)
         out["sup_centered"][i] = np.max(np.abs(centered))
         out["sup_deviation"][i] = np.max(np.abs(deviation))
-        out["band_sup_deviation"][i] = np.max(np.abs(np.interp(band_probes, lam, deviation)))
-        out["holder_moduli"][i] = fracops.modulus_profile(GridFunction(centered), np.array(h_grid))
+        out["band_sup_deviation"][i] = np.max(np.abs(np.interp(_MC_BAND, lam, deviation)))
+        out["holder_moduli"][i] = fracops.modulus_profile(GridFunction(centered), windows)
     return out
 
 
@@ -285,17 +273,6 @@ def _merge_blocks(blocks: list[dict]) -> dict:
     for key in blocks[0].keys() - merged.keys():
         merged[key] = np.concatenate([b[key] for b in blocks])
     return merged
-
-
-def _fejer_bias(model: SpectralModel, n: int) -> tuple[float, float]:
-    """(sup |Fejer-smoothed f - f|, omega(f, 1/n) |ln omega(f, 1/n)|)."""
-    pts = int(math.ceil(TWO_PI * n)) + 2
-    dens = model.density_grid(pts)
-    smoothed = specmodel.expected_periodogram(model, n, pts)
-    sup_err = float(np.max(np.abs(smoothed.values - dens.values)))
-    omega = fracops.modulus_of_continuity(dens, max(1.0 / n, dens.spacing))
-    bound = omega * abs(math.log(omega)) if omega > 0 else 0.0
-    return sup_err, bound
 
 
 def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) -> McReport:
@@ -314,41 +291,36 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
         alpha=alpha,
         replications=rep,
     )
-    h_grid = DEFAULT_H_GRID
-    band_probes = _band_probes(BAND_PROBES)
     u0 = _band_half_width(
         model, alpha, BAND_PROBES, False, config.seed, MC_CALIBRATION_DRAWS,
         config.delta_confidence,
     )
 
-    probe_theory = limit_covariance(model, alpha, np.array(config.probe_lambdas))
+    probe_theory = limit_covariance(model, alpha, config.probe_lambdas)
     # every n's Fejér bias (two floats) before the first replication block, so its
     # temporaries are freed before the blocks allocate; the grids stay per n
-    report.fejer_rows.extend((n, *_fejer_bias(model, n)) for n in config.n_list)
+    report.fejer_rows.extend((n, *specmodel._fejer_bias(model, n)) for n in config.n_list)
     for n_idx, n in enumerate(config.n_list):
         num_points = config.grid_points or default_grid_points(n)
         mean_fn = expected_estimate(model, n, alpha, num_points)
         truth_fn = specmodel.frac_truth_profile(model, alpha, num_points)
+        run_block = partial(
+            _run_block, model, n, alpha, num_points, config.seed, config.probe_lambdas,
+            mean_fn.values, truth_fn.values,
+        )
         stream_base = (n_idx + 1) * _STREAM_MC
-        block_args = []
+        streams = range(stream_base, stream_base + rep)
         block_size = math.ceil(rep / math.ceil(rep / 64))
-        for r0 in range(stream_base, stream_base + rep, block_size):
-            block_args.append(
-                (
-                    model, n, alpha, num_points, config.seed,
-                    range(r0, min(r0 + block_size, stream_base + rep)), config.probe_lambdas,
-                    band_probes, h_grid, mean_fn.values, truth_fn.values,
-                )
-            )
+        block_streams = [streams[r0 : r0 + block_size] for r0 in range(0, rep, block_size)]
         # a fork pool starts all its workers at the first submit
-        workers = min(max(1, int(threads)), len(block_args))
+        workers = min(max(1, int(threads)), len(block_streams))
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                blocks = list(pool.map(_run_block, *zip(*block_args)))
+                blocks = list(pool.map(run_block, block_streams))
         else:
-            blocks = [_run_block(*args) for args in block_args]
+            blocks = [run_block(s) for s in block_streams]
         agg = _merge_blocks(blocks)
 
         mean_est = agg["sum_estimate"] / rep
@@ -377,7 +349,7 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
             w = float(np.mean(agg["sup_deviation"] > u))
             report.tail_rows.append((n, u, w0, w, bool(w < censor)))
 
-        for k, h in enumerate(h_grid):
+        for k, h in enumerate(DEFAULT_H_GRID):
             ratios = agg["holder_moduli"][:, k] / h**config.holder_delta
             report.holder_rows.append((n, h, _quantile(ratios, 0.95)))
 

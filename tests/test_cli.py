@@ -459,7 +459,7 @@ class TestPlumbing:
             ("confidence", "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.25\n"
                            "n = 64\n", "confidence.csv", (verify, "confidence_band")),
             ("fejer", "[model]\nkind = ar1\nrho = 0.5\n\n[fejer]\nn_list = 64\n",
-             "fejer.csv", (verify, "_fejer_bias")),
+             "fejer.csv", (specmodel, "_fejer_bias")),
         ],
         ids=["mc", "truth", "estimate", "simulate", "confidence", "fejer"],
     )
@@ -583,6 +583,24 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert f"{key} must" in err and f"{2**20}, got" in err and str(size) in err
         assert [p.name for p in out.iterdir()] == [present]
+
+    @pytest.mark.parametrize(
+        "model", ["kind = ar1\nrho = 0.5\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],
+        ids=["ar1", "unreadable-model"],
+    )
+    def test_simulate_count_above_bound_is_config_error(
+        self, tmp_path, capsys, monkeypatch, model
+    ):
+        # the list of every file name is built before any path is drawn, so an
+        # unbounded count could exhaust memory there
+        drawn = []
+        monkeypatch.setattr(gsim, "sample_path", lambda *a, **kw: drawn.append(a))
+        cfg = _write(tmp_path / "c.ini", f"[model]\n{model}\n[simulate]\nn = 64\ncount = 65537\n")
+        out = tmp_path / "o"
+        assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == "fracspec: error: count must be at most 65536, got 65537\n"
+        assert drawn == [] and list(out.iterdir()) == []
 
     def test_grid_at_ceiling_is_accepted(self, tmp_path):
         _write(tmp_path / "path.csv", "# seed = 0\n# model_id = x\neta\n0.5\n-0.25\n")
@@ -773,6 +791,24 @@ class TestTruthVerb:
         assert np.interp(math.pi, lam, val) == pytest.approx(0.40864, abs=5e-4)
         assert (out / "spectral_function.csv").exists()
         assert (out / "theta.csv").exists()
+
+    def test_config_value_over_two_lines_reads_back(self, tmp_path):
+        # an INI value may go on over indented lines; the second line of such a
+        # value used to land in every header without its "# ", and
+        # GridFunction.from_csv then refused the file with "bad CSV row: '2.0'"
+        body = "[model]\nkind = ar1\nrho = 0.5\n\n[truth]\nalpha = 0.25\nnum_points = 257\n"
+        outs = []
+        for name, probes in (("one", "1.0 2.0"), ("two", "1.0\n    2.0")):
+            cfg = _write(tmp_path / f"{name}.ini", f"{body}probe_lambdas = {probes}\n")
+            outs.append(tmp_path / name)
+            assert _run("truth", "--config", str(cfg), "--out", str(outs[-1])) == 0
+        theta = [(out / "theta.csv").read_text().splitlines() for out in outs]
+        assert "# config truth.probe_lambdas = 1.0" in theta[1]
+        assert "# 2.0" in theta[1]
+        assert [ln for ln in theta[0] if ln[:1] != "#"] == [ln for ln in theta[1] if ln[:1] != "#"]
+        for name in ("spectral_function.csv", "frac_derivative.csv"):
+            one, two = (GridFunction.from_csv(out / name) for out in outs)
+            assert np.array_equal(one.values, two.values), name
 
 
     def test_custom_grid_ar1(self, tmp_path):
@@ -998,7 +1034,7 @@ class TestImportGraph:
         assert proc.stdout.split()[-2:] == [str(code), "False"], proc.stderr
 
     def test_simulate_and_estimate_load_no_verify(self, tmp_path):
-        # verify holds the checks of truth, mc, confidence and fejer only
+        # verify is the harness of mc and confidence only
         configs = Path(__file__).resolve().parents[1] / "configs"
         est_ini = _write(
             tmp_path / "est.ini",
@@ -1014,6 +1050,26 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
+
+    @pytest.mark.parametrize(
+        "verb, config, absent",
+        [
+            ("truth", "truth_constant.ini", ["fracspec.verify", "fracspec.gsim"]),
+            ("fejer", "fejer_ar1.ini", ["fracspec.verify", "fracspec.estimate"]),
+            ("simulate", "simulate_ar1.ini", ["fracspec.estimate"]),
+        ],
+        ids=["truth", "fejer", "simulate"],
+    )
+    def test_verb_loads_only_the_modules_it_runs(self, tmp_path, verb, config, absent):
+        # truth and fejer compute fixed properties of the model, all in specmodel
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        argv = [verb, "--config", str(configs / config), "--out", str(tmp_path / "o")]
+        proc = self._python(
+            "import sys\nfrom fracspec.cli import main\n"
+            f"print(main({argv!r}), [m for m in {absent!r} if m in sys.modules])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []", proc.stderr
 
     def test_cli_import_loads_no_process_pool(self):
         proc = self._python(

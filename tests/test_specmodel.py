@@ -581,26 +581,31 @@ def _density_with_a_zero() -> GridFunction:
         ),
         (
             lambda: specmodel.limit_covariance(AR1, 0.25, []),
-            "probe_grid must be a non-empty 1-d array",
+            "probe_lambdas must hold between 1 and 1024 values, got 0",
         ),
         (
             lambda: specmodel.limit_covariance(AR1, 0.25, [[1.0, 2.0]]),
-            "probe_grid must be a non-empty 1-d array",
+            "probe_lambdas must be a 1-d list, got shape (1, 2)",
         ),
         (
             lambda: specmodel.limit_covariance(AR1, 0.25, [0.0, 1.0]),
-            "probes must lie in (0, 2*pi]",
+            "probe_lambdas must lie in (0, 2*pi], got (0.0, 1.0)",
         ),
         (
             lambda: specmodel.limit_covariance(AR1, 0.25, [1.0, 7.0]),
-            "probes must lie in (0, 2*pi]",
+            "probe_lambdas must lie in (0, 2*pi], got (1.0, 7.0)",
+        ),
+        (
+            # the bound of the CLI's probe_lambdas holds for library callers too
+            lambda: specmodel.limit_covariance(AR1, 0.25, np.linspace(0.005, TWO_PI, 1025)),
+            "probe_lambdas must hold between 1 and 1024 values, got 1025",
         ),
     ],
     ids=[
         "custom-no-grid", "custom-zero-density", "unknown-kind", "truth-alpha-half",
         "fejer-n-0", "expected-n-0", "expected-out-grid-1", "beta-below-0", "beta-above-2pi",
         "theta-alpha-half", "theta-no-probes", "theta-2d-probes", "theta-probe-0",
-        "theta-probe-above-2pi",
+        "theta-probe-above-2pi", "theta-1025-probes",
     ],
 )
 def test_refusals_name_the_bad_input(call, message):

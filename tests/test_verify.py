@@ -63,7 +63,7 @@ class TestMcConfig:
         payload = json.loads(report.to_json_text(), parse_constant=refuse)
         assert len(payload["covariance"]) == 3
 
-    @pytest.mark.parametrize("count", [2, verify.MAX_PROBES])
+    @pytest.mark.parametrize("count", [2, specmodel.MAX_PROBES])
     def test_replications_bounded_by_kept_floats(self, count):
         # each replication keeps count + 8 floats until the run ends; an
         # unbounded count used to fail in the final concatenation, after the run
@@ -79,7 +79,7 @@ class TestMcConfig:
         with pytest.raises(DomainError):
             _config(probe_lambdas=(3.0, 1.0))
 
-    @pytest.mark.parametrize("count", [0, verify.MAX_PROBES + 1])
+    @pytest.mark.parametrize("count", [0, specmodel.MAX_PROBES + 1])
     def test_rejects_probe_count_out_of_bounds(self, count):
         probes = tuple(np.linspace(0.005, TWO_PI, count))
         with pytest.raises(DomainError, match=f"between 1 and 1024 values, got {count}"):
@@ -179,7 +179,7 @@ class TestConfidenceBand:
             ({"replications": 0}, "replications must be at least 1, got 0"),
             ({"num_probes": 0}, "num_probes must be between 1 and 1024, got 0"),
             ({"num_probes": -3}, "num_probes must be between 1 and 1024, got -3"),
-            ({"num_probes": verify.MAX_PROBES + 1}, "between 1 and 1024, got 1025"),
+            ({"num_probes": specmodel.MAX_PROBES + 1}, "between 1 and 1024, got 1025"),
         ],
     )
     def test_rejects_sizes_out_of_bounds(self, kw, message):
@@ -281,6 +281,9 @@ def test_csv_table_formats_ints_and_floats():
     assert text == "n,x,y\n3,0.10000000000000001,0.66666666666666663\n4,1,censored\n"
     text = csv_table("n,x,y", rows[1:], comments=["fracspec 0.1.0", "seed = 3"])
     assert text == "# fracspec 0.1.0\n# seed = 3\nn,x,y\n4,1,censored\n"
+    # a config value written over several lines keeps every line a comment
+    text = csv_table("n,x,y", [], comments=["config mc.n_list = 64\n128", ""])
+    assert text == "# config mc.n_list = 64\n# 128\n# \nn,x,y\n"
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -304,8 +307,10 @@ def test_script_runs(script, reps):
         ({"n_list": (128, 0)}, "n_list must hold positive integers, got (128, 0)"),
         ({"tail_u_grid": (1.0, 0.0)}, "tail_u_grid entries must be positive"),
         ({"tail_u_grid": (-1.0,)}, "tail_u_grid entries must be positive"),
+        # each table would hold two n = 64 blocks that cannot be told apart
+        ({"n_list": (64, 128, 64)}, "n_list must not repeat a size, got 64 twice or more"),
     ],
-    ids=["n-list-entry-0", "tail-u-0", "tail-u-negative"],
+    ids=["n-list-entry-0", "tail-u-0", "tail-u-negative", "n-list-repeat"],
 )
 def test_mc_config_refusals_name_the_bad_input(kw, message):
     with pytest.raises(DomainError) as exc:
