@@ -27,7 +27,6 @@ from .errors import ConfigError, DomainError, NumericalError
 
 if TYPE_CHECKING:
     from .specmodel import SpectralModel
-    from .verify import McConfig
 
 _EXIT_OK = 0
 _EXIT_DOMAIN = 1
@@ -35,7 +34,6 @@ _EXIT_NUMERICAL = 2
 _EXIT_IO = 3
 _MAX_THREADS = 256  # most --threads workers; mc starts no more than it has blocks
 _MAX_PATHS = 2**16  # most simulate files; their names are listed before any is drawn
-MAX_N = 2**20  # path-length ceiling: at MAX_N `fejer` already allocates 53 MB grids
 
 #: keys of [model], which every verb except estimate reads
 _MODEL_KEYS = {"kind", "c", "rho", "grid_csv_path"}
@@ -118,15 +116,10 @@ def _get(section: dict, key: str, cast, default=None):
 
 
 def _grid_points(section: dict, key: str, default: int) -> int:
-    from .estimate import MAX_GRID_POINTS
+    from .grid import _check_grid_points
 
-    num_points = _get(section, key, int, default)
-    if not 0 <= num_points <= MAX_GRID_POINTS:
-        raise ConfigError(f"{key} must be between 0 and {MAX_GRID_POINTS}, got {num_points}")
-    # 0 asks for the automatic grid of a verb whose default is 0; a grid has 2 points or more
-    if num_points == 1 or (num_points == 0 and default):
-        raise ConfigError(f"{key} must be at least 2, got {num_points}")
-    return num_points
+    # 0 asks for the automatic grid of a verb whose default is 0
+    return _check_grid_points(_get(section, key, int, default), key, auto=not default)
 
 
 def _size(section: dict, key: str, default: int | None = None, most: float = math.inf) -> int:
@@ -138,26 +131,28 @@ def _size(section: dict, key: str, default: int | None = None, most: float = mat
     return size
 
 
-def _alpha(section: dict) -> float:
-    alpha = _get(section, "alpha", float)
-    if not 0.0 <= alpha < 0.5:
-        raise ConfigError(f"alpha must lie in [0, 1/2), got {alpha!r}")
-    return alpha
-
-
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
-def _n_list(section: dict) -> tuple[int, ...]:
-    n_list = _get(section, "n_list", _int_list)
-    if not n_list or not all(1 <= n <= MAX_N for n in n_list):
-        raise ConfigError(f"n_list must hold positive integers up to {MAX_N}, got {n_list!r}")
-    return n_list
-
-
 def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+#: the cast of each [mc] key and each [confidence] key but seed, in reading order;
+#: the values are checked, and the defaults of the keys left out are held, by
+#: verify.McConfig and verify._check_band
+_MC_CASTS = {"grid_points": int, "n_list": _int_list, "probe_lambdas": _float_list,
+             "alpha": float, "replications": int, "seed": int, "tail_u_grid": _float_list,
+             "holder_delta": float, "delta_confidence": float}
+_BAND_CASTS = {"num_probes": int, "n": int, "replications": int, "alpha": float,
+               "delta": float, "calibration_draws": int}
+
+
+def _cast(section: dict, casts: dict, required: Iterable[str]) -> dict:
+    """Each key of casts that the section gives, cast; a required one it lacks is an error."""
+    return {key: _get(section, key, cast) for key, cast in casts.items()
+            if key in section or key in required}
 
 
 def _seed(section: dict, override: int | None) -> int:
@@ -182,27 +177,6 @@ def _model_from(sections: dict, config_dir: Path) -> SpectralModel:
         path = config_dir / _get(section, "grid_csv_path", str)
         return SpectralModel.custom(GridFunction.from_csv(path, periodic=True))
     raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def build_mc_config(sections: dict, seed_override: int | None) -> McConfig:
-    from .verify import DEFAULT_TAIL_GRID, McConfig
-
-    mc = sections.get("mc", {})
-    grid_points = _grid_points(mc, "grid_points", 0) or None
-    n_list = _n_list(mc)
-    probes = _get(mc, "probe_lambdas", _float_list, (math.pi / 2, math.pi))
-    # McConfig is the one check of replications, probe_lambdas and holder_delta
-    return McConfig(
-        alpha=_get(mc, "alpha", float),
-        n_list=n_list,
-        replications=_get(mc, "replications", int),
-        probe_lambdas=probes,
-        seed=_seed(mc, seed_override),
-        tail_u_grid=_get(mc, "tail_u_grid", _float_list, DEFAULT_TAIL_GRID),
-        holder_delta=_get(mc, "holder_delta", float) if "holder_delta" in mc else None,
-        delta_confidence=_get(mc, "delta_confidence", float, 0.05),
-        grid_points=grid_points,
-    )
 
 
 def _write_bundle(out: Path, names: Sequence[str], texts: Iterable[str], force: bool) -> None:
@@ -247,6 +221,7 @@ def _header(sections: dict, seed: int | None, grid_sizes: dict) -> list[str]:
 
 def _cmd_simulate(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     from .gsim import sample_path
+    from .specmodel import MAX_N
 
     sim = sections.get("simulate", {})
     n = _size(sim, "n", most=MAX_N)
@@ -268,10 +243,11 @@ def _cmd_simulate(args, sections: dict, config_dir: Path) -> tuple[list[str], It
 
 def _cmd_estimate(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     from .estimate import default_grid_points, frac_estimate, periodogram
+    from .fracops import _check_alpha
     from .gsim import SamplePath
 
     est = sections.get("estimate", {})
-    alpha = _alpha(est)
+    alpha = _check_alpha(_get(est, "alpha", float))
     num_points = _grid_points(est, "num_points", 0)
     path = SamplePath.from_csv(config_dir / _get(est, "path_csv", str))
     num_points = num_points or default_grid_points(path.n)
@@ -287,10 +263,11 @@ def _cmd_estimate(args, sections: dict, config_dir: Path) -> tuple[list[str], It
 
 def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     from . import specmodel
+    from .fracops import _check_alpha
 
     tr = sections.get("truth", {})
     num_points = _grid_points(tr, "num_points", 4097)
-    alpha = _alpha(tr)
+    alpha = _check_alpha(_get(tr, "alpha", float))
     default = (math.pi / 2, math.pi, 2.0 * math.pi)
     probes = specmodel._check_probes(_get(tr, "probe_lambdas", _float_list, default))
     model = _model_from(sections, config_dir)
@@ -309,7 +286,10 @@ def _cmd_truth(args, sections: dict, config_dir: Path) -> tuple[list[str], Itera
 def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:
     from . import verify
 
-    config = build_mc_config(sections, args.seed)
+    plan = _cast(sections.get("mc", {}), _MC_CASTS, ("n_list", "alpha", "replications"))
+    if args.seed is not None:  # the config seed is still checked
+        plan["seed"] = args.seed
+    config = verify.McConfig(**plan)
     threads = _resolve_threads(args.threads)
     model = _model_from(sections, config_dir)
     grid_sizes = {
@@ -331,22 +311,15 @@ def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], 
     from .grid import csv_table
 
     cf = sections.get("confidence", {})
-    num_probes = _get(cf, "num_probes", int, verify.BAND_PROBES)
-    n = _size(cf, "n", most=MAX_N)
-    reps = _get(cf, "replications", int, 400)
-    alpha = _alpha(cf)
-    delta = _get(cf, "delta", float, 0.05)
-    draws = _get(cf, "calibration_draws", int, 5000)
-    verify._check_band(delta, draws, reps, num_probes)
+    band = verify._check_band(**_cast(cf, _BAND_CASTS, ("n", "alpha")))
     seed = _seed(cf, args.seed)
     model = _model_from(sections, config_dir)
-    header = _header(sections, seed, {"n": n, "num_probes": num_probes})
+    header = _header(sections, seed, {"n": band["n"], "num_probes": band["num_probes"]})
 
     def texts() -> Iterator[str]:
-        u0, coverage = verify.confidence_band(
-            model, alpha, n, delta, draws, seed, replications=reps, num_probes=num_probes
-        )
-        yield csv_table("n,delta,u0,coverage", [(n, delta, u0, coverage)], comments=header)
+        u0, coverage = verify.confidence_band(model, seed=seed, **band)
+        row = (band["n"], band["delta"], u0, coverage)
+        yield csv_table("n,delta,u0,coverage", [row], comments=header)
 
     return ["confidence.csv"], texts()
 
@@ -355,7 +328,7 @@ def _cmd_fejer(args, sections: dict, config_dir: Path) -> tuple[list[str], Itera
     from . import specmodel
     from .grid import csv_table
 
-    n_list = _n_list(sections.get("fejer", {}))
+    n_list = specmodel._check_n_list(_get(sections.get("fejer", {}), "n_list", _int_list))
     model = _model_from(sections, config_dir)
     header = _header(sections, None, {"n_list": " ".join(map(str, n_list))})
 
@@ -383,16 +356,11 @@ _VERBS = {
     ),
     "mc": (
         "run the Monte Carlo verification plan and write the report bundle",
-        {
-            "alpha", "n_list", "replications", "probe_lambdas", "seed",
-            "tail_u_grid", "holder_delta", "delta_confidence", "grid_points",
-        },
-        _cmd_mc,
+        set(_MC_CASTS), _cmd_mc,
     ),
     "confidence": (
         "calibrate a sup-norm confidence band and measure its coverage",
-        {"alpha", "n", "delta", "calibration_draws", "replications", "num_probes", "seed"},
-        _cmd_confidence,
+        {*_BAND_CASTS, "seed"}, _cmd_confidence,
     ),
     "fejer": (
         "tabulate the smoothing bias of the expected periodogram over n",

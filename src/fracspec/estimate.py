@@ -10,13 +10,10 @@ import numpy as np
 
 from . import fracops
 from .errors import DomainError
-from .grid import TWO_PI, GridFunction, even_grid_function
+from .grid import MAX_GRID_POINTS, TWO_PI, GridFunction, even_grid_function
 
 if TYPE_CHECKING:
     from .gsim import SamplePath
-
-#: evaluation-grid ceiling; finer grids only add quadrature cost
-MAX_GRID_POINTS = 65537
 
 
 def default_grid_points(n: int) -> int:
@@ -59,9 +56,7 @@ def empirical_spectral_function(j: GridFunction) -> GridFunction:
 def frac_estimate(j: GridFunction, alpha: float, step: int = 1) -> GridFunction:
     """Fractional integral of order 1 - alpha applied to the periodogram, at
     every `step`-th grid point (see fracops.frac_integral)."""
-    if not (0.0 <= alpha < 0.5):
-        raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
-    return fracops.frac_integral(j, 1.0 - alpha, step)
+    return fracops.frac_integral(j, 1.0 - fracops._check_alpha(alpha), step)
 
 
 def plugin_variance(j: GridFunction, n: int, alpha: float, lam: float) -> float:

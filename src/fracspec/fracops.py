@@ -170,6 +170,14 @@ def _phase_split_conv(gamma: float, data: np.ndarray, step: int) -> np.ndarray:
     return conv
 
 
+def _check_alpha(alpha: float) -> float:
+    """Refuse an estimator order alpha outside [0, 1/2), where the limit
+    covariance Theta_alpha is finite; the one check of alpha for every caller."""
+    if not (0.0 <= alpha < 0.5):
+        raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
+    return alpha
+
+
 def frac_integral(g: GridFunction, order: float, step: int = 1) -> GridFunction:
     """Riemann-Liouville fractional integral of the piecewise-linear interpolant.
 

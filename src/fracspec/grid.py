@@ -18,6 +18,19 @@ TWO_PI = 2.0 * np.pi
 #: periodic endpoint values must agree to this tolerance
 PERIODIC_TOL = 1e-12
 
+#: evaluation-grid ceiling; finer grids only add quadrature cost
+MAX_GRID_POINTS = 65537
+
+
+def _check_grid_points(num_points: int, key: str, auto: bool) -> int:
+    """Refuse a grid size outside 2 ... MAX_GRID_POINTS, naming it by its config
+    key; where auto, 0 asks for the automatic grid and is accepted."""
+    if not 0 <= num_points <= MAX_GRID_POINTS:
+        raise DomainError(f"{key} must be between 0 and {MAX_GRID_POINTS}, got {num_points}")
+    if num_points == 1 or (num_points == 0 and not auto):
+        raise DomainError(f"{key} must be at least 2, got {num_points}")
+    return num_points
+
 
 def csv_table(header: str, rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:
     """CSV text: the comments, each of their lines starting with `# `, the

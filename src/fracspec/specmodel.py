@@ -26,6 +26,9 @@ TRUTH_POINTS = 65537
 #: truth and mc probe_lambdas): it has MAX_PROBES (MAX_PROBES + 1) / 2 probe pairs
 MAX_PROBES = 1024
 
+#: path-length ceiling of every verb: at MAX_N `fejer` already allocates 53 MB grids
+MAX_N = 2**20
+
 #: Gauss nodes per panel of the limit-covariance product rule, and of the
 #: larger rule it is checked against
 _RULE_NODES = 12
@@ -152,8 +155,7 @@ def frac_truth_profile(
     K = ceil((TRUTH_POINTS - 1) / (num_points - 1)), by frac_integral's strided
     evaluation at stride K step, which computes only the points asked for.
     """
-    if not (0.0 <= alpha < 0.5):
-        raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
+    fracops._check_alpha(alpha)
     if step < 1 or (num_points - 1) % step:
         raise DomainError(f"step must divide {num_points - 1}, got {step!r}")
     if model.kind == "constant":
@@ -195,6 +197,15 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
     m_circle = out_grid - 1
     folded = np.bincount(np.arange(n) % m_circle, weights=coeff, minlength=m_circle)
     return even_grid_function((2.0 * np.fft.rfft(folded).real - coeff[0]) / TWO_PI, out_grid)
+
+
+def _check_n_list(n_list: Iterable[int]) -> tuple[int, ...]:
+    """Refuse an empty n_list or a size outside 1 ... MAX_N; return the sizes
+    as ints. The mc plan and the fejer verb call it before the model is read."""
+    sizes = tuple(int(n) for n in n_list)
+    if not sizes or not all(1 <= n <= MAX_N for n in sizes):
+        raise DomainError(f"n_list must hold positive integers up to {MAX_N}, got {n_list!r}")
+    return sizes
 
 
 def _fejer_bias(model: SpectralModel, n: int) -> tuple[float, float]:
@@ -454,8 +465,7 @@ def theta_point(model: SpectralModel, alpha: float, lam, mu, real_symmetry: bool
     A gap above _RULE_TOL (relative) between the product rule and one with
     more nodes is a NumericalError naming the pair.
     """
-    if not (0.0 <= alpha < 0.5):
-        raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
+    fracops._check_alpha(alpha)
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
     hi, lo = np.maximum(lam, mu), np.minimum(lam, mu)
     value, gap = _direct(model, alpha, hi, lo)
@@ -504,8 +514,7 @@ def limit_covariance(
     through its eigendecomposition: negative eigenvalues are clipped to
     zero, and the projection is factored with _psd_cholesky's jitter.
     """
-    if not (0.0 <= alpha < 0.5):
-        raise DomainError(f"alpha must lie in [0, 1/2), got {alpha!r}")
+    fracops._check_alpha(alpha)
     probes = np.array(_check_probes(probe_grid))
     rows, cols = np.tril_indices(probes.size)
     mat = np.empty((probes.size, probes.size))

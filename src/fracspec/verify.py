@@ -16,7 +16,7 @@ import numpy as np
 from . import fracops, specmodel
 from .errors import DomainError
 from .estimate import default_grid_points, frac_estimate, periodogram
-from .grid import TWO_PI, GridFunction, csv_table
+from .grid import TWO_PI, GridFunction, _check_grid_points, csv_table
 from .gsim import _limit_normals, sample_path
 from .specmodel import MAX_PROBES, LimitCovariance, SpectralModel, _check_probes, limit_covariance
 
@@ -27,6 +27,9 @@ _STREAM_COVERAGE = 3 << 40
 
 #: default dyadic window grid for the Holder-modulus ratios
 DEFAULT_H_GRID = tuple(TWO_PI * 2.0**-k for k in range(7, 2, -1))
+
+#: fewest points of an mc grid: its spacing must not exceed the narrowest window
+_MIN_MC_GRID_POINTS = math.ceil(TWO_PI / min(DEFAULT_H_GRID)) + 1
 
 #: default sup-norm thresholds u of the tail table: 0.5, 1.0, ..., 4.0
 DEFAULT_TAIL_GRID = tuple(0.5 * k for k in range(1, 9))
@@ -59,7 +62,7 @@ MC_TABLES = (
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
-    """One Monte Carlo plan: estimator order, sizes, replications. It holds no
+    """One Monte Carlo plan, and the one check of each of its values. It holds no
     model, so it is checked before the model is read; run_monte_carlo takes both."""
 
     alpha: float
@@ -73,14 +76,17 @@ class McConfig:
     grid_points: int | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha < 0.5):
+        # None and 0 ask for the automatic grid of each n
+        grid_points = _check_grid_points(self.grid_points or 0, "grid_points", auto=True)
+        if 0 < grid_points < _MIN_MC_GRID_POINTS:
             raise DomainError(
-                f"alpha must lie in the well-posed range [0, 1/2), got {self.alpha!r}"
+                f"grid_points must be 0 or at least {_MIN_MC_GRID_POINTS}, so that the "
+                f"narrowest Holder window spans a grid step, got {grid_points}"
             )
-        if not self.n_list or any(int(n) < 1 for n in self.n_list):
-            raise DomainError(f"n_list must hold positive integers, got {self.n_list!r}")
+        n_list = specmodel._check_n_list(self.n_list)
+        fracops._check_alpha(self.alpha)
         # each table keys its rows by n, so a repeated size could not be told apart
-        repeated = sorted(n for n, count in Counter(map(int, self.n_list)).items() if count > 1)
+        repeated = sorted(n for n, count in Counter(n_list).items() if count > 1)
         if repeated:
             raise DomainError(f"n_list must not repeat a size, got {repeated[0]} twice or more")
         if int(self.replications) < 2:
@@ -103,6 +109,9 @@ class McConfig:
             )
         if any(u <= 0 for u in self.tail_u_grid):
             raise DomainError("tail_u_grid entries must be positive")
+        # a nan or inf threshold would put a bare NaN token into report.json
+        if not all(math.isfinite(u) for u in self.tail_u_grid):
+            raise DomainError(f"tail_u_grid entries must be finite, got {self.tail_u_grid!r}")
         delta = self.holder_delta
         if delta is None:
             delta = max(0.5 - self.alpha - 0.05, 0.01)
@@ -111,7 +120,8 @@ class McConfig:
                 f"holder_delta must lie in (0, 1/2 - alpha) = (0, {0.5 - self.alpha:g}), "
                 f"got {self.holder_delta!r}"
             )
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "grid_points", grid_points or None)
+        object.__setattr__(self, "n_list", n_list)
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "probe_lambdas", probes)
         object.__setattr__(self, "tail_u_grid", tuple(float(u) for u in self.tail_u_grid))
@@ -359,9 +369,16 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
     return report
 
 
-def _check_band(delta: float, calibration_draws: int, replications: int, num_probes: int) -> None:
-    """Refuse a band plan out of bounds; the calibration draws are one
-    num_probes x calibration_draws block of floats."""
+def _check_band(alpha: float, n: int, delta: float = 0.05, calibration_draws: int = 5000,
+                replications: int = 400, num_probes: int = BAND_PROBES) -> dict:
+    """Refuse a band plan out of bounds, or return it whole, with the defaults
+    of the values not given, as confidence_band's keyword arguments. The
+    calibration draws are one num_probes x calibration_draws block of floats."""
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
+    if n > specmodel.MAX_N:
+        raise DomainError(f"n must be at most {specmodel.MAX_N}, got {n}")
+    fracops._check_alpha(alpha)
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     if calibration_draws < 1000:
@@ -375,6 +392,8 @@ def _check_band(delta: float, calibration_draws: int, replications: int, num_pro
             f"calibration_draws must be at most {_MAX_CALIBRATION_FLOATS // num_probes} "
             f"for {num_probes} probes, got {calibration_draws!r}"
         )
+    return dict(alpha=alpha, n=n, delta=delta, calibration_draws=calibration_draws,
+                replications=replications, num_probes=num_probes)
 
 
 def confidence_band(
@@ -390,7 +409,7 @@ def confidence_band(
 ) -> tuple[float, float]:
     """Sup-norm band half-width u0 (via simulated limit-process quantiles) and
     the empirical coverage of the band over fresh replications."""
-    _check_band(delta, calibration_draws, replications, num_probes)
+    _check_band(alpha, n, delta, calibration_draws, replications, num_probes)
     probes = _band_probes(num_probes)
     u0 = _band_half_width(
         model, alpha, num_probes, real_symmetry, seed, calibration_draws, delta

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspec import GridFunction, __version__, cli, estimate, gsim, specmodel, verify
+from fracspec import GridFunction, __version__, estimate, gsim, specmodel, verify
 from fracspec.cli import main
 
 CONST_C = 1.0 / (2.0 * math.pi)
@@ -326,15 +326,24 @@ class TestPlumbing:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("count", [2, 1024])
-    def test_mc_replications_at_bound_are_accepted(self, tmp_path, count):
+    def test_mc_replications_at_bound_are_accepted(self, tmp_path, monkeypatch, count):
+        # the plan at the bound reaches the run; an empty report stands in for it
+        planned = []
+
+        def run(model, config, threads=1):
+            planned.append(config.replications)
+            return verify.McReport(config.seed, model.model_id, config.alpha, config.replications)
+
+        monkeypatch.setattr(verify, "run_monte_carlo", run)
         probes = " ".join(f"{x:.17g}" for x in np.linspace(0.005, 2.0 * math.pi, count))
         most = 2**25 // (count + 8)
-        sections = {
-            "model": {"kind": "constant", "c": "1"},
-            "mc": {"alpha": "0.25", "n_list": "64", "probe_lambdas": probes,
-                   "replications": str(most)},
-        }
-        assert cli.build_mc_config(sections, None).replications == most
+        cfg = _write(
+            tmp_path / "m.ini",
+            "[model]\nkind = constant\nc = 1\n\n[mc]\nalpha = 0.25\nn_list = 64\n"
+            f"probe_lambdas = {probes}\nreplications = {most}\n",
+        )
+        assert _run("mc", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        assert planned == [most]
 
     @pytest.mark.parametrize("flag", [(), ("--seed", "5")], ids=["config-seed", "seed-flag"])
     @pytest.mark.parametrize(
@@ -447,6 +456,23 @@ class TestPlumbing:
         assert [p.name for p in out.iterdir()] == ["report.json"]
         assert (out / "report.json").read_text() == "keep\n"
 
+    @pytest.mark.parametrize("grid, shown", [("1.0 nan", "(1.0, nan)"), ("inf", "(inf,)")])
+    def test_mc_tail_u_grid_not_finite_is_config_error(self, tmp_path, capsys, grid, shown):
+        # a nan threshold exited 0, with a bare NaN token in report.json and a
+        # "64,nan,0,censored" row in tails.csv; the missing grid CSV shows the
+        # check runs before the model is read
+        cfg = _write(
+            tmp_path / "m.ini",
+            "[model]\nkind = custom_grid\ngrid_csv_path = missing.csv\n\n"
+            f"[mc]\nalpha = 0.25\nn_list = 64\nreplications = 2\ntail_u_grid = {grid}\n",
+        )
+        out = tmp_path / "o"
+        assert _run("mc", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"fracspec: error: tail_u_grid entries must be finite, got {shown}\n"
+        )
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "verb, body, present, compute",
         [
@@ -497,6 +523,12 @@ class TestPlumbing:
                       "num_points = 0\n", "num_points", "theta.csv"),
             ("mc", "[model]\nkind = constant\nc = 1\n\n[mc]\nalpha = 0.25\nn_list = 64\n"
                    "replications = 2\ngrid_points = 1\n", "grid_points", "report.json"),
+            ("mc", "[model]\nkind = constant\nc = 1\n\n[mc]\nalpha = 0.25\nn_list = 64\n"
+                   "replications = 2\ngrid_points = 65\n", "grid_points", "report.json"),
+            # exit 1, not the model's i/o error 3: the plan is checked before the model is read
+            ("mc", "[model]\nkind = custom_grid\ngrid_csv_path = missing.csv\n\n[mc]\n"
+                   "alpha = 0.25\nn_list = 64\nreplications = 2\ngrid_points = 65\n",
+             "grid_points", "report.json"),
             ("confidence", "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.6\n"
                            "n = 64\n", "alpha", "confidence.csv"),
             ("confidence", "[model]\nkind = constant\nc = 1\n\n[confidence]\nalpha = 0.25\n"
@@ -507,7 +539,8 @@ class TestPlumbing:
         ],
         ids=[
             "estimate-alpha", "estimate-grid-1", "truth-alpha", "truth-grid-0", "mc-grid-1",
-            "confidence-alpha", "delta", "calibration_draws",
+            "mc-grid-65", "mc-grid-65-unreadable-model", "confidence-alpha", "delta",
+            "calibration_draws",
         ],
     )
     def test_bad_value_is_reported_before_existing_target(
@@ -1054,7 +1087,8 @@ class TestImportGraph:
     @pytest.mark.parametrize(
         "verb, config, absent",
         [
-            ("truth", "truth_constant.ini", ["fracspec.verify", "fracspec.gsim"]),
+            ("truth", "truth_constant.ini",
+             ["fracspec.verify", "fracspec.gsim", "fracspec.estimate"]),
             ("fejer", "fejer_ar1.ini", ["fracspec.verify", "fracspec.estimate"]),
             ("simulate", "simulate_ar1.ini", ["fracspec.estimate"]),
         ],

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspec import DomainError, TWO_PI
+from fracspec import DomainError, GridFunction, TWO_PI
 from fracspec import estimate, gsim, specmodel, verify
 from fracspec.grid import csv_table
 from fracspec.specmodel import SpectralModel
@@ -84,6 +85,45 @@ class TestMcConfig:
         probes = tuple(np.linspace(0.005, TWO_PI, count))
         with pytest.raises(DomainError, match=f"between 1 and 1024 values, got {count}"):
             _config(probe_lambdas=probes)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_rejects_tail_u_grid_not_finite(self, u):
+        # a nan threshold exited 0, with a bare NaN token in report.json and a
+        # "nan" row in tails.csv
+        with pytest.raises(DomainError, match=r"tail_u_grid entries must be finite, got \(1.0, "):
+            _config(tail_u_grid=(1.0, u))
+
+    # construct only: the first plan asked _fejer_bias for a grid of about 7e12
+    # points, the second for grids of 1e9 floats
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"n_list": (specmodel.MAX_N + 1,)}, "n_list must hold positive integers up to"),
+            ({"n_list": (2**40,)}, "n_list must hold positive integers up to"),
+            ({"grid_points": estimate.MAX_GRID_POINTS + 1}, "grid_points must be between 0 and"),
+            ({"grid_points": 10**9}, "grid_points must be between 0 and 65537"),
+            ({"grid_points": 1}, "grid_points must be at least 2, got 1"),
+            ({"grid_points": -1}, "grid_points must be between 0 and 65537, got -1"),
+        ],
+        ids=["n-above-max", "n-2-40", "grid-above-max", "grid-1e9", "grid-1", "grid-negative"],
+    )
+    def test_rejects_sizes_outside_the_cli_bounds(self, kw, message):
+        with pytest.raises(DomainError, match=message):
+            _config(**kw)
+
+    @pytest.mark.parametrize("grid_points", [2, 65, 128])
+    def test_rejects_grid_coarser_than_the_narrowest_window(self, grid_points):
+        # such a grid passed every check, then modulus_profile refused the
+        # window 2 pi / 128 mid-run, naming no key
+        with pytest.raises(
+            DomainError, match=f"grid_points must be 0 or at least 129, .* got {grid_points}$"
+        ):
+            _config(grid_points=grid_points)
+
+    @pytest.mark.parametrize("grid_points, kept", [(None, None), (0, None), (129, 129)])
+    def test_accepts_automatic_and_narrowest_window_grids(self, grid_points, kept):
+        assert _config(grid_points=grid_points).grid_points == kept
+        assert min(verify.DEFAULT_H_GRID) == TWO_PI / (verify._MIN_MC_GRID_POINTS - 1)
 
 
 class TestReplicate:
@@ -185,6 +225,16 @@ class TestConfidenceBand:
     def test_rejects_sizes_out_of_bounds(self, kw, message):
         with pytest.raises(DomainError, match=message):
             verify.confidence_band(CONST, 0.25, 64, 0.05, 1000, seed=0, **kw)
+
+    @pytest.mark.parametrize("n", [0, -5, specmodel.MAX_N + 1])
+    def test_rejects_n_before_any_work(self, monkeypatch, n):
+        # n = 0 used to calibrate u0, then divide by zero
+        calls = []
+        monkeypatch.setattr(verify, "limit_covariance", lambda *a, **kw: calls.append(a))
+        message = "at least 1" if n < 1 else f"at most {specmodel.MAX_N}"
+        with pytest.raises(DomainError, match=f"n must be {message}, got {n}$"):
+            verify.confidence_band(CONST, 0.25, n, 0.05, 1000, seed=0)
+        assert calls == []
 
     def test_rejects_calibration_block_above_bound(self, monkeypatch):
         # 64 probes x 10^12 draws used to fail allocating a 466 TiB block;
@@ -304,7 +354,7 @@ def test_script_runs(script, reps):
 @pytest.mark.parametrize(
     "kw, message",
     [
-        ({"n_list": (128, 0)}, "n_list must hold positive integers, got (128, 0)"),
+        ({"n_list": (128, 0)}, "n_list must hold positive integers up to 1048576, got (128, 0)"),
         ({"tail_u_grid": (1.0, 0.0)}, "tail_u_grid entries must be positive"),
         ({"tail_u_grid": (-1.0,)}, "tail_u_grid entries must be positive"),
         # each table would hold two n = 64 blocks that cannot be told apart
@@ -316,3 +366,30 @@ def test_mc_config_refusals_name_the_bad_input(kw, message):
     with pytest.raises(DomainError) as exc:
         _config(**kw)
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alpha: estimate.frac_estimate(GridFunction(np.ones(17)), alpha),
+        lambda alpha: specmodel.frac_truth_profile(AR1, alpha, 17),
+        lambda alpha: specmodel.theta_point(AR1, alpha, 1.0, 1.0),
+        lambda alpha: specmodel.limit_covariance(AR1, alpha, [1.0]),
+        lambda alpha: _config(alpha=alpha),
+        lambda alpha: verify.confidence_band(CONST, alpha, 64, 0.05, 1000, seed=0),
+    ],
+    ids=["frac_estimate", "frac_truth_profile", "theta_point", "limit_covariance", "McConfig",
+         "confidence_band"],
+)
+@pytest.mark.parametrize("alpha", [0.5, -0.1, math.nan])
+def test_every_caller_refuses_alpha_alike(call, alpha):
+    with pytest.raises(DomainError) as exc:
+        call(alpha)
+    assert str(exc.value) == f"alpha must lie in [0, 1/2), got {alpha!r}"
+
+
+def test_alpha_domain_is_written_once():
+    # fracops._check_alpha is the one check; plugin_variance keeps its open (0, 1/2)
+    src = Path(verify.__file__).parent
+    owners = [m.name for m in sorted(src.glob("*.py")) if "must lie in [0, 1/2)" in m.read_text()]
+    assert owners == ["fracops.py"]
