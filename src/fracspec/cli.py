@@ -23,7 +23,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 # numpy and the numerical modules are imported by the commands that run them, so
 # help, version, usage and config-file errors exit without loading numpy
 from . import __version__
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError, _check_whole
 
 if TYPE_CHECKING:
     from .specmodel import SpectralModel
@@ -122,15 +122,6 @@ def _grid_points(section: dict, key: str, default: int) -> int:
     return _check_grid_points(_get(section, key, int, default), key, auto=not default)
 
 
-def _size(section: dict, key: str, default: int | None = None, most: float = math.inf) -> int:
-    size = _get(section, key, int, default)
-    if size < 1:
-        raise ConfigError(f"{key} must be at least 1, got {size}")
-    if size > most:
-        raise ConfigError(f"{key} must be at most {most}, got {size}")
-    return size
-
-
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
@@ -224,8 +215,8 @@ def _cmd_simulate(args, sections: dict, config_dir: Path) -> tuple[list[str], It
     from .specmodel import MAX_N
 
     sim = sections.get("simulate", {})
-    n = _size(sim, "n", most=MAX_N)
-    count = _size(sim, "count", 1, most=_MAX_PATHS)
+    n = _check_whole(_get(sim, "n", int), "n", 1, MAX_N)
+    count = _check_whole(_get(sim, "count", int, 1), "count", 1, _MAX_PATHS)
     mean = _get(sim, "mean", float, 0.0)
     if not math.isfinite(mean):
         raise ConfigError(f"mean must be finite, got {mean!r}")

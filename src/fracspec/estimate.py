@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import fracops
-from .errors import DomainError
+from .errors import DomainError, _check_whole
 from .grid import MAX_GRID_POINTS, TWO_PI, GridFunction, even_grid_function
 
 if TYPE_CHECKING:
@@ -18,7 +18,7 @@ if TYPE_CHECKING:
 
 def default_grid_points(n: int) -> int:
     """Evaluation grid fine enough for the downstream fractional quadrature."""
-    return min(4 * max(int(n), 1024), MAX_GRID_POINTS - 1) + 1
+    return min(4 * max(_check_whole(n, "n", 1), 1024), MAX_GRID_POINTS - 1) + 1
 
 
 def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction:
@@ -33,8 +33,7 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
     """
     if num_points is None:
         num_points = default_grid_points(path.n)
-    if num_points < 2:
-        raise DomainError(f"periodogram needs num_points >= 2, got {num_points!r}")
+    num_points = _check_whole(num_points, "num_points", 2)
     n = path.n
     m = num_points - 1
     demeaned = path.values - path.added_mean
@@ -74,8 +73,7 @@ def plugin_variance(j: GridFunction, n: int, alpha: float, lam: float) -> float:
     it, where the kernel (lam - nu)^(-2a) is light. When 2 pi/n is not a whole
     number of grid steps, the second ordinate is interpolated.
     """
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n!r}")
+    n = _check_whole(n, "n", 1)
     if not (0.0 < alpha < 0.5):
         raise DomainError(f"alpha must lie in (0, 1/2), got {alpha!r}")
     if not (0.0 < lam <= TWO_PI + 1e-12):

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_whole
 from .grid import TWO_PI, GridFunction
 
 # direct three-term weight formula below this index, binomial series above;
@@ -191,9 +191,9 @@ def frac_integral(g: GridFunction, order: float, step: int = 1) -> GridFunction:
     """
     if not (0.0 < order <= 1.0) or not math.isfinite(order):
         raise DomainError(f"frac_integral order must be in (0, 1], got {order!r}")
-    n = g.num_points
-    if step < 1 or (n - 1) % step:
-        raise DomainError(f"frac_integral step must divide {n - 1}, got {step!r}")
+    n, step = g.num_points, _check_whole(step, "step", 1)
+    if (n - 1) % step:
+        raise DomainError(f"frac_integral step must divide {n - 1}, got {step}")
     h = g.spacing
     v = g.values
     p = (n - 1) // step
@@ -264,37 +264,40 @@ def _window_ranges(v: np.ndarray, widths: list[int]) -> np.ndarray:
     return out
 
 
+def _window_steps(g: GridFunction, h) -> np.ndarray:
+    """The one check of modulus windows h: each must be finite and at least the
+    grid spacing. Returns the whole grid steps within each, at most N - 1."""
+    h = np.asarray(h, dtype=float)
+    spacing = g.spacing
+    bad = h[~np.isfinite(h)]
+    if bad.size:
+        raise DomainError(f"modulus window h must be finite, got {bad[0].item()!r}")
+    bad = h[h < spacing - 1e-12]
+    if bad.size:
+        raise DomainError(f"modulus window h={bad[0].item()!r} below grid spacing {spacing!r}")
+    return np.minimum(np.floor(h / spacing + 1e-9).astype(int), g.num_points - 1)
+
+
 def modulus_of_continuity(g: GridFunction, h: float) -> float:
     """Largest |g(lam) - g(mu)| over grid pairs with |lam - mu| <= h.
 
     For periodic g the pair distance is taken on the circle.
     """
-    spacing = g.spacing
-    if not math.isfinite(h) or h < spacing - 1e-12:
-        raise DomainError(f"modulus window h={h!r} below grid spacing {spacing!r}")
+    k = int(_window_steps(g, h))
     if h > TWO_PI:
         raise DomainError(f"modulus window h={h!r} exceeds 2*pi")
     v = g.values
-    kmax = int(np.floor(h / spacing + 1e-9))
     if g.periodic:
-        # wrap the circle so every arc of k steps is one window: the m + k
-        # wrapped points hold exactly m windows of k + 1 points
-        circle = v[:-1]
-        m = circle.size
-        k = min(kmax, m // 2)
-        wrapped = np.concatenate((circle, circle[:k]))
-        return float(_window_ranges(wrapped, [k + 1])[0])
-    k = min(kmax, v.size - 1)
+        # wrap the circle of m = N - 1 points so every arc of k steps is one
+        # window: the m + k wrapped points hold exactly m windows of k + 1 points
+        k = min(k, (v.size - 1) // 2)
+        v = np.concatenate((v[:-1], v[:k]))
     return float(_window_ranges(v, [k + 1])[0])
 
 
 def modulus_profile(g: GridFunction, h_grid: np.ndarray) -> np.ndarray:
-    """modulus_of_continuity (non-periodic) at several windows, each grown from the last."""
-    h_grid = np.asarray(h_grid, dtype=float)
-    spacing = g.spacing
-    if np.any(h_grid < spacing - 1e-12):
-        raise DomainError("modulus window below grid spacing")
-    v = g.values
-    ks = np.minimum(np.floor(h_grid / spacing + 1e-9).astype(int), v.size - 1)
-    return _window_ranges(v, (ks.ravel() + 1).tolist()).reshape(ks.shape)
+    """modulus_of_continuity (non-periodic) at several windows, each grown from
+    the last; windows wider than the grid take the whole grid."""
+    ks = _window_steps(g, h_grid)
+    return _window_ranges(g.values, (ks.ravel() + 1).tolist()).reshape(ks.shape)
 

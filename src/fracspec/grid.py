@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_whole
 
 TWO_PI = 2.0 * np.pi
 
@@ -23,13 +23,11 @@ MAX_GRID_POINTS = 65537
 
 
 def _check_grid_points(num_points: int, key: str, auto: bool) -> int:
-    """Refuse a grid size outside 2 ... MAX_GRID_POINTS, naming it by its config
-    key; where auto, 0 asks for the automatic grid and is accepted."""
-    if not 0 <= num_points <= MAX_GRID_POINTS:
-        raise DomainError(f"{key} must be between 0 and {MAX_GRID_POINTS}, got {num_points}")
-    if num_points == 1 or (num_points == 0 and not auto):
-        raise DomainError(f"{key} must be at least 2, got {num_points}")
-    return num_points
+    """A grid size of 2 ... MAX_GRID_POINTS as an int, else a refusal naming its
+    config key; where auto, 0 asks for the automatic grid and is accepted."""
+    if auto and num_points == 0:
+        return 0
+    return _check_whole(num_points, key, 2, MAX_GRID_POINTS)
 
 
 def csv_table(header: str, rows: Iterable[Sequence], comments: Sequence[str] = ()) -> str:

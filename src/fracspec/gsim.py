@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, SamplingError
+from .errors import DomainError, SamplingError, _check_whole
 from .grid import csv_table
 from .specmodel import LimitCovariance, SpectralModel, autocovariance_batch
 
@@ -33,7 +33,8 @@ MAX_DOUBLINGS = 6
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream)."""
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | ((int(stream) & 0xFFFFFFFFFFFFFFFF) << 64)
+    seed, stream = _check_whole(seed, "seed"), _check_whole(stream, "stream")
+    key = (seed & 0xFFFFFFFFFFFFFFFF) | ((stream & 0xFFFFFFFFFFFFFFFF) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -134,9 +135,7 @@ def sample_path(
     model: SpectralModel, n: int, seed: int, mean: float = 0.0, stream: int = 0
 ) -> SamplePath:
     """Draw one exact stationary Gaussian path of length n with the given mean."""
-    if int(n) < 1:
-        raise SamplingError(f"sample_path needs n >= 1, got {n!r}")
-    n = int(n)
+    n, seed = _check_whole(n, "n", 1), _check_whole(seed, "seed")
     sqrt_eigs = _embedding_sqrt_eigs(model, n)
     half = sqrt_eigs.size - 1
     m = 2 * half
@@ -160,7 +159,7 @@ def sample_path(
 def _limit_normals(cov: LimitCovariance, seed: int, draws: int) -> np.ndarray:
     """The standard normals behind `draws` limit-process draws, one column per
     draw, from the generator keyed by `seed`; draw k is cov.factor @ z[:, k]."""
-    return make_rng(seed).standard_normal((cov.factor.shape[1], draws))
+    return make_rng(seed).standard_normal((cov.factor.shape[1], _check_whole(draws, "draws", 0)))
 
 
 def sample_limit_process(cov: LimitCovariance, seed: int, draws: int) -> np.ndarray:

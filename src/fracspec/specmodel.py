@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import fracops
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _check_whole
 from .grid import TWO_PI, GridFunction, csv_table, even_grid_function
 
 #: resolution of the high-accuracy truth profiles
@@ -105,12 +105,13 @@ class SpectralModel:
         return float(out) if lam_arr.ndim == 0 else out
 
     def density_grid(self, num_points: int) -> GridFunction:
-        lam = np.linspace(0.0, TWO_PI, num_points)
+        lam = np.linspace(0.0, TWO_PI, _check_whole(num_points, "num_points", 2))
         return GridFunction(self.density(lam), periodic=True)
 
 
 def autocovariance_batch(model: SpectralModel, mmax: int) -> np.ndarray:
     """r(0..mmax) as one array, r(m) = integral of cos(m lam) f(lam) over one period."""
+    mmax = _check_whole(mmax, "mmax", 0)
     if model.kind == "constant":
         out = np.zeros(mmax + 1)
         out[0] = TWO_PI * model.c
@@ -156,8 +157,9 @@ def frac_truth_profile(
     evaluation at stride K step, which computes only the points asked for.
     """
     fracops._check_alpha(alpha)
-    if step < 1 or (num_points - 1) % step:
-        raise DomainError(f"step must divide {num_points - 1}, got {step!r}")
+    num_points, step = _check_whole(num_points, "num_points", 2), _check_whole(step, "step", 1)
+    if (num_points - 1) % step:
+        raise DomainError(f"step must divide {num_points - 1}, got {step}")
     if model.kind == "constant":
         lam = np.linspace(0.0, TWO_PI, num_points)[::step]
         return GridFunction(model.c * lam ** (1.0 - alpha) / math.gamma(2.0 - alpha))
@@ -168,9 +170,7 @@ def frac_truth_profile(
 
 def fejer_kernel(n: int, lam) -> np.ndarray | float:
     """Cesaro summability kernel of order n; takes the limit value n/(2*pi) at 0 mod 2*pi."""
-    if int(n) < 1:
-        raise DomainError(f"fejer_kernel needs n >= 1, got {n!r}")
-    n = int(n)
+    n = _check_whole(n, "n", 1)
     lam_arr = np.asarray(lam, dtype=float)
     half = np.sin(lam_arr / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,11 +187,7 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
     m-point circle cos(k lam) depends only on k mod m, so the coefficients are
     folded onto m bins and the series is one exact real FFT for every n.
     """
-    if int(n) < 1:
-        raise DomainError(f"expected_periodogram needs n >= 1, got {n!r}")
-    n = int(n)
-    if out_grid < 2:
-        raise DomainError("out_grid must be >= 2")
+    n, out_grid = _check_whole(n, "n", 1), _check_whole(out_grid, "out_grid", 2)
     r = autocovariance_batch(model, n - 1)
     coeff = r * (1.0 - np.arange(n) / n)
     m_circle = out_grid - 1
@@ -202,9 +198,9 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
 def _check_n_list(n_list: Iterable[int]) -> tuple[int, ...]:
     """Refuse an empty n_list or a size outside 1 ... MAX_N; return the sizes
     as ints. The mc plan and the fejer verb call it before the model is read."""
-    sizes = tuple(int(n) for n in n_list)
-    if not sizes or not all(1 <= n <= MAX_N for n in sizes):
-        raise DomainError(f"n_list must hold positive integers up to {MAX_N}, got {n_list!r}")
+    sizes = tuple(_check_whole(n, "n_list", 1, MAX_N) for n in n_list)
+    if not sizes:
+        raise DomainError("n_list must hold at least one size")
     return sizes
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import fracops, specmodel
-from .errors import DomainError
+from .errors import DomainError, _check_whole
 from .estimate import default_grid_points, frac_estimate, periodogram
 from .grid import TWO_PI, GridFunction, _check_grid_points, csv_table
 from .gsim import _limit_normals, sample_path
@@ -89,19 +89,18 @@ class McConfig:
         repeated = sorted(n for n, count in Counter(n_list).items() if count > 1)
         if repeated:
             raise DomainError(f"n_list must not repeat a size, got {repeated[0]} twice or more")
-        if int(self.replications) < 2:
-            # the sample covariance of the probes needs two replications
-            raise DomainError(f"replications must be at least 2, got {self.replications!r}")
+        # the sample covariance of the probes needs two replications
+        replications = _check_whole(self.replications, "replications", 2)
         probes = _check_probes(self.probe_lambdas)
         if any(b <= a for a, b in zip(probes, probes[1:])):
             raise DomainError("probe_lambdas must be strictly increasing")
         # each replication keeps its probe values, three sup statistics and the
         # Holder moduli until the run ends, all within _MAX_CALIBRATION_FLOATS
         most = _MAX_CALIBRATION_FLOATS // (len(probes) + 3 + len(DEFAULT_H_GRID))
-        if int(self.replications) > most:
+        if replications > most:
             raise DomainError(
                 f"replications must be at most {most} for {len(probes)} probe_lambdas, "
-                f"got {self.replications!r}"
+                f"got {replications}"
             )
         if not (0.0 < self.delta_confidence < 1.0):
             raise DomainError(
@@ -122,11 +121,11 @@ class McConfig:
             )
         object.__setattr__(self, "grid_points", grid_points or None)
         object.__setattr__(self, "n_list", n_list)
-        object.__setattr__(self, "replications", int(self.replications))
+        object.__setattr__(self, "replications", replications)
         object.__setattr__(self, "probe_lambdas", probes)
         object.__setattr__(self, "tail_u_grid", tuple(float(u) for u in self.tail_u_grid))
         object.__setattr__(self, "holder_delta", float(delta))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_whole(self.seed, "seed"))
 
 
 @dataclass
@@ -293,6 +292,7 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
     """
     from ._kstest import kstest_norm  # imported on use: the other verbs never load it
 
+    threads = _check_whole(threads, "threads")
     alpha = config.alpha
     rep = config.replications
     report = McReport(
@@ -323,7 +323,7 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
         block_size = math.ceil(rep / math.ceil(rep / 64))
         block_streams = [streams[r0 : r0 + block_size] for r0 in range(0, rep, block_size)]
         # a fork pool starts all its workers at the first submit
-        workers = min(max(1, int(threads)), len(block_streams))
+        workers = min(max(1, threads), len(block_streams))
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -374,23 +374,17 @@ def _check_band(alpha: float, n: int, delta: float = 0.05, calibration_draws: in
     """Refuse a band plan out of bounds, or return it whole, with the defaults
     of the values not given, as confidence_band's keyword arguments. The
     calibration draws are one num_probes x calibration_draws block of floats."""
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    if n > specmodel.MAX_N:
-        raise DomainError(f"n must be at most {specmodel.MAX_N}, got {n}")
+    n = _check_whole(n, "n", 1, specmodel.MAX_N)
     fracops._check_alpha(alpha)
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    if calibration_draws < 1000:
-        raise DomainError(f"calibration_draws must be >= 1000, got {calibration_draws!r}")
-    if replications < 1:
-        raise DomainError(f"replications must be at least 1, got {replications!r}")
-    if not 1 <= num_probes <= MAX_PROBES:
-        raise DomainError(f"num_probes must be between 1 and {MAX_PROBES}, got {num_probes!r}")
+    calibration_draws = _check_whole(calibration_draws, "calibration_draws", 1000)
+    replications = _check_whole(replications, "replications", 1)
+    num_probes = _check_whole(num_probes, "num_probes", 1, MAX_PROBES)
     if num_probes * calibration_draws > _MAX_CALIBRATION_FLOATS:
         raise DomainError(
             f"calibration_draws must be at most {_MAX_CALIBRATION_FLOATS // num_probes} "
-            f"for {num_probes} probes, got {calibration_draws!r}"
+            f"for {num_probes} probes, got {calibration_draws}"
         )
     return dict(alpha=alpha, n=n, delta=delta, calibration_draws=calibration_draws,
                 replications=replications, num_probes=num_probes)
@@ -409,7 +403,10 @@ def confidence_band(
 ) -> tuple[float, float]:
     """Sup-norm band half-width u0 (via simulated limit-process quantiles) and
     the empirical coverage of the band over fresh replications."""
-    _check_band(alpha, n, delta, calibration_draws, replications, num_probes)
+    # the plan's values come back in the order of the signature, the sizes as ints
+    alpha, n, delta, calibration_draws, replications, num_probes = _check_band(
+        alpha, n, delta, calibration_draws, replications, num_probes).values()
+    seed = _check_whole(seed, "seed")
     probes = _band_probes(num_probes)
     u0 = _band_half_width(
         model, alpha, num_probes, real_symmetry, seed, calibration_draws, delta

@@ -158,7 +158,8 @@ class TestPlumbing:
         cfg = _write(tmp_path / "g.ini", body.replace("65538", str(size)))
         out = tmp_path / "o"
         assert _run(verb, "--config", str(cfg), "--out", str(out)) == 1
-        assert f"between 0 and 65537, got {size}" in capsys.readouterr().err
+        bound = "at most 65537" if size > 0 else "at least 2"
+        assert f"points must be {bound}, got {size}\n" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("num_probes", [0, -3, 5000])
@@ -171,7 +172,8 @@ class TestPlumbing:
         )
         out = tmp_path / "o"
         assert _run("confidence", "--config", str(cfg), "--out", str(out)) == 1
-        assert f"num_probes must be between 1 and 1024, got {num_probes}" in capsys.readouterr().err
+        bound = "at most 1024" if num_probes > 0 else "at least 1"
+        assert f"num_probes must be {bound}, got {num_probes}\n" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -391,7 +393,7 @@ class TestPlumbing:
         cfg = _write(tmp_path / "f.ini", f"[model]\n{model}\n[fejer]\nn_list = {n_list}\n")
         out = tmp_path / "o"
         assert _run("fejer", "--config", str(cfg), "--out", str(out)) == 1
-        assert "n_list must hold positive integers" in capsys.readouterr().err
+        assert f"n_list must be at least 1, got {n_list.split()[0]}\n" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(

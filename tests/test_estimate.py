@@ -182,13 +182,20 @@ def test_default_grid_points_caps():
     assert estimate.default_grid_points(1 << 20) == estimate.MAX_GRID_POINTS
 
 
+#: (case, name, a call that passes it) of every count and size argument of estimate
+_WHOLE_ARGS = (
+    ("periodogram-points", "num_points", lambda path, j, v: estimate.periodogram(path, v)),
+    ("default-grid-n", "n", lambda path, j, v: estimate.default_grid_points(v)),
+    ("plugin-n", "n", lambda path, j, v: estimate.plugin_variance(j, v, 0.25, math.pi)),
+    ("estimate-step", "step", lambda path, j, v: estimate.frac_estimate(j, 0.25, v)),
+)
+_NOT_WHOLE = (64.7, math.nan, math.inf)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (
-            lambda path, j: estimate.periodogram(path, 1),
-            "periodogram needs num_points >= 2, got 1",
-        ),
+        (lambda path, j: estimate.periodogram(path, 1), "num_points must be at least 2, got 1"),
         (lambda path, j: estimate.plugin_variance(j, 0, 0.25, math.pi), "n must be at least 1"),
         (
             lambda path, j: estimate.plugin_variance(j, 64, 0.5, math.pi),
@@ -202,8 +209,20 @@ def test_default_grid_points_caps():
             lambda path, j: estimate.plugin_variance(j, 64, 0.25, 7.0),
             "lambda must lie in (0, 2*pi], got 7.0",
         ),
+        *[
+            (lambda path, j, call=call, bad=bad: call(path, j, bad),
+             f"{name} must be a whole number, got {bad!r}")
+            for _, name, call in _WHOLE_ARGS for bad in _NOT_WHOLE
+        ],
+        # it used to fail in numpy with a TypeError
+        (
+            lambda path, j: estimate.periodogram(path, 257.5),
+            "num_points must be a whole number, got 257.5",
+        ),
     ],
-    ids=["periodogram-1-point", "plugin-n-0", "plugin-alpha-half", "plugin-lam-0", "plugin-lam-7"],
+    ids=["periodogram-1-point", "plugin-n-0", "plugin-alpha-half", "plugin-lam-0", "plugin-lam-7",
+         *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE],
+         "periodogram-257.5"],
 )
 def test_refusals_name_the_bad_input(call, message):
     path = gsim.sample_path(AR1, 64, seed=0)

@@ -195,9 +195,16 @@ class TestStridedIntegral:
         out = fracops.frac_integral(g, 1.0, 16)
         assert np.array_equal(out.values, fracops.frac_integral(g, 1.0).values[::16])
 
+    def test_whole_float_step_is_the_int_step(self):
+        # 2.0 used to fail in numpy with an AttributeError
+        g = GridFunction(np.random.default_rng(2).exponential(size=257))
+        got = fracops.frac_integral(g, 0.75, 2.0)
+        assert np.array_equal(got.values, fracops.frac_integral(g, 0.75, 2).values)
+
     @pytest.mark.parametrize("step", [0, -4, 3, 512])
     def test_rejects_step_not_dividing_the_grid(self, step):
-        with pytest.raises(DomainError, match="step must divide 256"):
+        message = "step must divide 256" if step > 0 else f"step must be at least 1, got {step}"
+        with pytest.raises(DomainError, match=message):
             fracops.frac_integral(GridFunction(np.ones(257)), 0.5, step)
 
 
@@ -351,10 +358,25 @@ class TestModulus:
         (lambda g: fracops.modulus_of_continuity(g, 7.0), "modulus window h=7.0 exceeds 2*pi"),
         (
             lambda g: fracops.modulus_profile(g, np.array([g.spacing / 10, 1.0])),
-            "modulus window below grid spacing",
+            "modulus window h=0.009817477042468103 below grid spacing 0.09817477042468103",
         ),
+        # a window that is not finite: the profile used to return 0 for it
+        *[
+            (lambda g, call=call, h=h: call(g, h), f"modulus window h must be finite, got {bad!r}")
+            for call in (fracops.modulus_of_continuity, fracops.modulus_profile)
+            for h, bad in ((math.nan, math.nan), ([1.0, math.nan], math.nan),
+                           (math.inf, math.inf), ([math.inf], math.inf))
+        ],
+        *[
+            (lambda g, bad=bad: fracops.frac_integral(g, 0.75, bad),
+             f"step must be a whole number, got {bad!r}")
+            for bad in (64.7, math.nan, math.inf)
+        ],
     ],
-    ids=["derivative-order-0", "derivative-order-1", "modulus-above-2pi", "profile-below-spacing"],
+    ids=["derivative-order-0", "derivative-order-1", "modulus-above-2pi", "profile-below-spacing",
+         *[f"{case}-{h}" for case in ("modulus", "profile")
+           for h in ("nan", "one-nan", "inf", "one-inf")],
+         "step-64.7", "step-nan", "step-inf"],
 )
 def test_refusals_name_the_bad_input(call, message):
     g = GridFunction(np.cos(np.linspace(0.0, TWO_PI, 65)), periodic=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspec import TWO_PI
+from fracspec import DomainError, TWO_PI
 from fracspec import gsim, specmodel
 from fracspec.grid import GridFunction
 from fracspec.specmodel import SpectralModel
@@ -150,19 +150,52 @@ class TestLimitProcess:
         np.testing.assert_array_equal(a, b)
 
 
+def _limit_cov() -> specmodel.LimitCovariance:
+    return specmodel.limit_covariance(CONST, 0.1, [1.0])
+
+
+#: (case, name, a call that passes it) of every count, size, seed and stream argument of gsim
+_WHOLE_ARGS = (
+    ("sample-n", "n", lambda v: gsim.sample_path(AR1, v, seed=0)),
+    ("sample-seed", "seed", lambda v: gsim.sample_path(AR1, 64, seed=v)),
+    ("rng-seed", "seed", lambda v: gsim.make_rng(v)),
+    ("rng-stream", "stream", lambda v: gsim.make_rng(0, v)),
+    ("limit-draws", "draws", lambda v: gsim.sample_limit_process(_limit_cov(), 0, v)),
+)
+_NOT_WHOLE = (64.7, math.nan, math.inf)
+
+
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        (lambda: gsim.SamplePath(3, np.zeros(4), seed=0, model_id="x"), "length 4 != n = 3"),
+        (
+            lambda: gsim.SamplePath(3, np.zeros(4), seed=0, model_id="x"),
+            gsim.SamplingError, "length 4 != n = 3",
+        ),
         (
             lambda: gsim.SamplePath(2, np.array([0.0, np.nan]), seed=0, model_id="x"),
-            "sample path contains non-finite values",
+            gsim.SamplingError, "sample path contains non-finite values",
         ),
-        (lambda: gsim.sample_path(AR1, 0, seed=0), "sample_path needs n >= 1, got 0"),
+        (lambda: gsim.sample_path(AR1, 0, seed=0), DomainError, "n must be at least 1, got 0"),
+        *[
+            (lambda call=call, bad=bad: call(bad), DomainError,
+             f"{name} must be a whole number, got {bad!r}")
+            for _, name, call in _WHOLE_ARGS for bad in _NOT_WHOLE
+        ],
     ],
-    ids=["path-length-not-n", "path-non-finite", "sample-n-0"],
+    ids=["path-length-not-n", "path-non-finite", "sample-n-0",
+         *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE]],
 )
-def test_refusals_name_the_bad_input(call, message):
-    with pytest.raises(gsim.SamplingError) as exc:
+def test_refusals_name_the_bad_input(call, error, message):
+    with pytest.raises(error) as exc:
         call()
     assert message in str(exc.value)
+
+
+def test_whole_number_sizes_of_any_type_draw_the_same_path():
+    # the CSV text holds n, the seed and every value
+    expected = gsim.sample_path(AR1, 64, seed=3, stream=2).to_csv_text()
+    for n, seed, stream in [(np.int64(64), np.int32(3), np.uint8(2)), (64.0, 3.0, 2.0)]:
+        path = gsim.sample_path(AR1, n, seed=seed, stream=stream)
+        assert (type(path.n), type(path.seed)) == (int, int)
+        assert path.to_csv_text() == expected

@@ -239,7 +239,8 @@ class TestSpectralFunction:
 
     @pytest.mark.parametrize("step", [0, -1, 7])
     def test_step_must_divide_the_grid(self, step):
-        with pytest.raises(DomainError, match=f"step must divide 4096, got {step}"):
+        message = "must divide 4096" if step > 0 else "must be at least 1"
+        with pytest.raises(DomainError, match=f"step {message}, got {step}$"):
             specmodel.frac_truth_profile(AR1, 0.25, 4097, step)
 
 
@@ -554,6 +555,20 @@ def _density_with_a_zero() -> GridFunction:
     return GridFunction(values, periodic=True)
 
 
+#: (case, name, a call that passes it) of every count and size argument of specmodel
+_WHOLE_ARGS = (
+    ("truth-points", "num_points", lambda v: specmodel.frac_truth_profile(AR1, 0.25, v)),
+    ("truth-step", "step", lambda v: specmodel.frac_truth_profile(AR1, 0.25, 17, v)),
+    ("profile-points", "num_points", lambda v: specmodel.spectral_profile(AR1, v)),
+    ("density-points", "num_points", lambda v: AR1.density_grid(v)),
+    ("autocov-mmax", "mmax", lambda v: specmodel.autocovariance_batch(AR1, v)),
+    ("fejer-n", "n", lambda v: specmodel.fejer_kernel(v, 1.0)),
+    ("expected-n", "n", lambda v: specmodel.expected_periodogram(AR1, v, 17)),
+    ("expected-out-grid", "out_grid", lambda v: specmodel.expected_periodogram(AR1, 64, v)),
+)
+_NOT_WHOLE = (64.7, math.nan, math.inf)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -567,12 +582,9 @@ def _density_with_a_zero() -> GridFunction:
             lambda: specmodel.frac_truth_profile(AR1, 0.5, 17),
             "alpha must lie in [0, 1/2), got 0.5",
         ),
-        (lambda: specmodel.fejer_kernel(0, 1.0), "fejer_kernel needs n >= 1, got 0"),
-        (
-            lambda: specmodel.expected_periodogram(AR1, 0, 17),
-            "expected_periodogram needs n >= 1, got 0",
-        ),
-        (lambda: specmodel.expected_periodogram(AR1, 8, 1), "out_grid must be >= 2"),
+        (lambda: specmodel.fejer_kernel(0, 1.0), "n must be at least 1, got 0"),
+        (lambda: specmodel.expected_periodogram(AR1, 0, 17), "n must be at least 1, got 0"),
+        (lambda: specmodel.expected_periodogram(AR1, 8, 1), "out_grid must be at least 2, got 1"),
         (lambda: specmodel.beta_sq(AR1, -0.1), "lambda must lie in [0, 2*pi], got -0.1"),
         (lambda: specmodel.beta_sq(AR1, 7.0), "lambda must lie in [0, 2*pi], got 7.0"),
         (
@@ -600,12 +612,31 @@ def _density_with_a_zero() -> GridFunction:
             lambda: specmodel.limit_covariance(AR1, 0.25, np.linspace(0.005, TWO_PI, 1025)),
             "probe_lambdas must hold between 1 and 1024 values, got 1025",
         ),
+        # 1 point divided by zero, and 0 named frac_integral's step
+        *[
+            (lambda call=call, size=size: call(size), f"num_points must be at least 2, got {size}")
+            for call in (lambda v: specmodel.frac_truth_profile(AR1, 0.25, v),
+                         lambda v: specmodel.spectral_profile(AR1, v))
+            for size in (1, 0)
+        ],
+        *[
+            (lambda call=call, bad=bad: call(bad), f"{name} must be a whole number, got {bad!r}")
+            for _, name, call in _WHOLE_ARGS for bad in _NOT_WHOLE
+        ],
+        # it used to fail in numpy with a TypeError
+        (
+            lambda: specmodel.expected_periodogram(AR1, 64, 257.5),
+            "out_grid must be a whole number, got 257.5",
+        ),
     ],
     ids=[
         "custom-no-grid", "custom-zero-density", "unknown-kind", "truth-alpha-half",
         "fejer-n-0", "expected-n-0", "expected-out-grid-1", "beta-below-0", "beta-above-2pi",
         "theta-alpha-half", "theta-no-probes", "theta-2d-probes", "theta-probe-0",
-        "theta-probe-above-2pi", "theta-1025-probes",
+        "theta-probe-above-2pi", "theta-1025-probes", "truth-1-point", "truth-0-points",
+        "profile-1-point", "profile-0-points",
+        *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE],
+        "expected-out-grid-257.5",
     ],
 )
 def test_refusals_name_the_bad_input(call, message):

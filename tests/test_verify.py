@@ -15,6 +15,7 @@ from fracspec.specmodel import SpectralModel
 
 CONST = SpectralModel.constant(1.0 / TWO_PI)
 AR1 = SpectralModel.ar1(0.5)
+_NOT_WHOLE = (64.7, math.nan, math.inf)
 
 
 def _config(**kw) -> verify.McConfig:
@@ -98,12 +99,12 @@ class TestMcConfig:
     @pytest.mark.parametrize(
         "kw, message",
         [
-            ({"n_list": (specmodel.MAX_N + 1,)}, "n_list must hold positive integers up to"),
-            ({"n_list": (2**40,)}, "n_list must hold positive integers up to"),
-            ({"grid_points": estimate.MAX_GRID_POINTS + 1}, "grid_points must be between 0 and"),
-            ({"grid_points": 10**9}, "grid_points must be between 0 and 65537"),
+            ({"n_list": (specmodel.MAX_N + 1,)}, "n_list must be at most 1048576, got 1048577"),
+            ({"n_list": (2**40,)}, "n_list must be at most 1048576, got 1099511627776"),
+            ({"grid_points": estimate.MAX_GRID_POINTS + 1}, "grid_points must be at most 65537"),
+            ({"grid_points": 10**9}, "grid_points must be at most 65537, got 1000000000"),
             ({"grid_points": 1}, "grid_points must be at least 2, got 1"),
-            ({"grid_points": -1}, "grid_points must be between 0 and 65537, got -1"),
+            ({"grid_points": -1}, "grid_points must be at least 2, got -1"),
         ],
         ids=["n-above-max", "n-2-40", "grid-above-max", "grid-1e9", "grid-1", "grid-negative"],
     )
@@ -119,6 +120,13 @@ class TestMcConfig:
             DomainError, match=f"grid_points must be 0 or at least 129, .* got {grid_points}$"
         ):
             _config(grid_points=grid_points)
+
+    def test_whole_floats_are_taken_as_ints(self):
+        cfg = _config(n_list=(512.0, np.int64(64)), replications=np.int16(20), seed=3.0,
+                      grid_points=4097.0)
+        sizes = (*cfg.n_list, cfg.replications, cfg.seed, cfg.grid_points)
+        assert sizes == (512, 64, 20, 3, 4097)
+        assert {type(v) for v in sizes} == {int}
 
     @pytest.mark.parametrize("grid_points, kept", [(None, None), (0, None), (129, 129)])
     def test_accepts_automatic_and_narrowest_window_grids(self, grid_points, kept):
@@ -191,6 +199,11 @@ class TestRunMonteCarlo:
         assert pool_sizes == [3]
         assert report.to_json_text() == verify.run_monte_carlo(CONST, cfg).to_json_text()
 
+    def test_rejects_threads_not_whole_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(verify, "limit_covariance", None)
+        with pytest.raises(DomainError, match=r"threads must be a whole number, got 1.5$"):
+            verify.run_monte_carlo(CONST, _config(), threads=1.5)
+
     def test_variance_matches_symmetric_convention(self):
         # empirical n * Var at interior probes matches the mirror-corrected
         # covariance (the even-weight constant is 2x larger there)
@@ -217,21 +230,29 @@ class TestConfidenceBand:
         "kw, message",
         [
             ({"replications": 0}, "replications must be at least 1, got 0"),
-            ({"num_probes": 0}, "num_probes must be between 1 and 1024, got 0"),
-            ({"num_probes": -3}, "num_probes must be between 1 and 1024, got -3"),
-            ({"num_probes": specmodel.MAX_PROBES + 1}, "between 1 and 1024, got 1025"),
+            ({"num_probes": 0}, "num_probes must be at least 1, got 0"),
+            ({"num_probes": -3}, "num_probes must be at least 1, got -3"),
+            ({"num_probes": specmodel.MAX_PROBES + 1}, "at most 1024, got 1025"),
+            *[
+                ({key: bad}, f"{key} must be a whole number, got {bad!r}")
+                for key in ("n", "calibration_draws", "replications", "num_probes", "seed")
+                for bad in _NOT_WHOLE
+            ],
         ],
     )
     def test_rejects_sizes_out_of_bounds(self, kw, message):
+        plan = dict(alpha=0.25, n=64, delta=0.05, calibration_draws=1000, seed=0) | kw
         with pytest.raises(DomainError, match=message):
-            verify.confidence_band(CONST, 0.25, 64, 0.05, 1000, seed=0, **kw)
+            verify.confidence_band(CONST, **plan)
 
-    @pytest.mark.parametrize("n", [0, -5, specmodel.MAX_N + 1])
+    @pytest.mark.parametrize("n", [0, -5, specmodel.MAX_N + 1, 64.5])
     def test_rejects_n_before_any_work(self, monkeypatch, n):
-        # n = 0 used to calibrate u0, then divide by zero
+        # n = 0 used to calibrate u0, then divide by zero; 64.5 drew 64-point
+        # paths and tested them against u0 / sqrt(64.5)
         calls = []
         monkeypatch.setattr(verify, "limit_covariance", lambda *a, **kw: calls.append(a))
-        message = "at least 1" if n < 1 else f"at most {specmodel.MAX_N}"
+        message = ("a whole number" if n != int(n) else "at least 1" if n < 1
+                   else f"at most {specmodel.MAX_N}")
         with pytest.raises(DomainError, match=f"n must be {message}, got {n}$"):
             verify.confidence_band(CONST, 0.25, n, 0.05, 1000, seed=0)
         assert calls == []
@@ -354,13 +375,26 @@ def test_script_runs(script, reps):
 @pytest.mark.parametrize(
     "kw, message",
     [
-        ({"n_list": (128, 0)}, "n_list must hold positive integers up to 1048576, got (128, 0)"),
+        ({"n_list": (128, 0)}, "n_list must be at least 1, got 0"),
+        ({"n_list": ()}, "n_list must hold at least one size"),
+        # each used to be truncated: (64,), 2 and 3; nan failed in int()
+        ({"n_list": (64.7,), "replications": 2.5, "seed": 3.9},
+         "n_list must be a whole number, got 64.7"),
+        *[
+            ({key: (bad,) if key == "n_list" else bad},
+             f"{key} must be a whole number, got {bad!r}")
+            for key in ("n_list", "replications", "seed", "grid_points")
+            for bad in _NOT_WHOLE
+        ],
         ({"tail_u_grid": (1.0, 0.0)}, "tail_u_grid entries must be positive"),
         ({"tail_u_grid": (-1.0,)}, "tail_u_grid entries must be positive"),
         # each table would hold two n = 64 blocks that cannot be told apart
         ({"n_list": (64, 128, 64)}, "n_list must not repeat a size, got 64 twice or more"),
     ],
-    ids=["n-list-entry-0", "tail-u-0", "tail-u-negative", "n-list-repeat"],
+    ids=["n-list-entry-0", "n-list-empty", "truncated-sizes",
+         *[f"{key}-{bad}" for key in ("n_list", "replications", "seed", "grid_points")
+           for bad in _NOT_WHOLE],
+         "tail-u-0", "tail-u-negative", "n-list-repeat"],
 )
 def test_mc_config_refusals_name_the_bad_input(kw, message):
     with pytest.raises(DomainError) as exc:
