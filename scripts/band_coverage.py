@@ -4,6 +4,9 @@ conventions of the limit process."""
 
 import argparse
 
+# before numpy loads: importing fracspec.cli pins BLAS to one thread, as in the
+# CLI, unless the caller set a thread count
+import fracspec.cli  # noqa: F401
 from fracspec import TWO_PI, verify
 from fracspec.specmodel import SpectralModel
 

@@ -9,6 +9,9 @@ log-tail for comparison.
 import argparse
 import math
 
+# before numpy loads: importing fracspec.cli pins BLAS to one thread, as in the
+# CLI, unless the caller set a thread count
+import fracspec.cli  # noqa: F401
 import numpy as np
 
 from fracspec import TWO_PI, estimate, verify

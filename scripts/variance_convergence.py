@@ -10,6 +10,9 @@ the even-weight column is 2x too large away from the right endpoint.
 import argparse
 import math
 
+# before numpy loads: importing fracspec.cli pins BLAS to one thread, as in the
+# CLI, unless the caller set a thread count
+import fracspec.cli  # noqa: F401
 import numpy as np
 
 from fracspec import TWO_PI, estimate, specmodel, verify

@@ -294,7 +294,7 @@ def _cmd_mc(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator
         yield report.to_json_text() + "\n"
         yield from report.csv_tables(header).values()
 
-    return ["report.json", *(name for name, _ in verify.MC_TABLES)], texts()
+    return ["report.json", *(name for name, *_ in verify.MC_TABLES)], texts()
 
 
 def _cmd_confidence(args, sections: dict, config_dir: Path) -> tuple[list[str], Iterator[str]]:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import fracops
 from .errors import DomainError, _check_whole
-from .grid import MAX_GRID_POINTS, TWO_PI, GridFunction, even_grid_function
+from .grid import MAX_GRID_POINTS, TWO_PI, GridFunction, _check_grid_points, even_grid_function
 
 if TYPE_CHECKING:
     from .gsim import SamplePath
@@ -33,7 +33,7 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
     """
     if num_points is None:
         num_points = default_grid_points(path.n)
-    num_points = _check_whole(num_points, "num_points", 2)
+    num_points = _check_grid_points(num_points, "num_points", auto=False)
     n = path.n
     m = num_points - 1
     demeaned = path.values - path.added_mean

@@ -63,19 +63,21 @@ def _binom(gamma: float, m: int) -> float:
 
 
 def _central_weights(gamma: float, k: np.ndarray) -> np.ndarray:
-    """(k+1)^g - 2 k^g + (k-1)^g, computed stably for large k."""
-    out = np.empty(k.size)
-    small = k < _SERIES_CUTOFF
+    """The product rule's weights a[k]: a[0] = 1, where the formula is nan for a
+    non-integer g, and (k+1)^g - 2 k^g + (k-1)^g above, computed stably for large k."""
+    out = np.ones(k.size)
+    small = (0 < k) & (k < _SERIES_CUTOFF)
     ks = k[small].astype(float)
     out[small] = (ks + 1.0) ** gamma - 2.0 * ks**gamma + (ks - 1.0) ** gamma
-    kl = k[~small].astype(float)
+    large = k >= _SERIES_CUTOFF
+    kl = k[large].astype(float)
     if kl.size:
         # k^g * [(1+x)^g + (1-x)^g - 2] with x = 1/k, summed as an even series
         x2 = 1.0 / kl**2
         acc = np.zeros_like(kl)
         for m in range(_SERIES_TERMS, 0, -1):
             acc = x2 * (acc + 2.0 * _binom(gamma, 2 * m))
-        out[~small] = kl**gamma * acc
+        out[large] = kl**gamma * acc
     return out
 
 
@@ -103,7 +105,7 @@ def _product_weights(order: float, n: int) -> tuple[np.ndarray, np.ndarray, np.n
     so the circular product is the full linear convolution."""
     gamma = order + 1.0
     size = _fft_length(2 * n - 3)
-    a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, n - 1))))
+    a = _central_weights(gamma, np.arange(n - 1))
     a_hat = np.fft.rfft(a, size)
     a_head = a[:_DIRECT_POINTS].copy()
     b = _left_weights(gamma, np.arange(1, n))
@@ -126,9 +128,8 @@ def _block_weights(order: float, n: int, step: int) -> tuple[np.ndarray, np.ndar
     rows = max(1, _BLOCK_WEIGHT_FLOATS // step)
     for d0 in range(0, p, rows):
         index = np.arange(d0 * step, min(d0 + rows, p) * step)
-        weights = _central_weights(gamma, np.maximum(index, 1))
+        weights = _central_weights(gamma, index)
         blocks[d0 : d0 + rows] = weights.reshape(-1, step)[:, ::-1]
-    blocks[0, -1] = 1.0  # a[0]
     b = _left_weights(gamma, np.arange(step, n, step))
     diagonal = np.add.outer(np.arange(p), np.arange(p)).ravel()
     for arr in (blocks, b, diagonal):
@@ -157,15 +158,14 @@ def _phase_split_conv(gamma: float, data: np.ndarray, step: int) -> np.ndarray:
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
     for t0 in range(0, step, group):
         index = ends - np.arange(t0, min(t0 + group, step))[:, None]
-        weights = _central_weights(gamma, np.maximum(index, 1).ravel()).reshape(index.shape)
-        weights[index == 0] = 1.0
+        weights = _central_weights(gamma, index.ravel()).reshape(index.shape)
         product = np.fft.rfft(weights, size)
         product *= np.fft.rfft(phases[t0 : t0 + group], size)
         spectrum += product.sum(axis=0)
     conv = np.fft.irfft(spectrum, size)[:p]
     head = min(_DIRECT_POINTS, data.size) // step * step
     if head:
-        a = np.concatenate(([1.0], _central_weights(gamma, np.arange(1, head))))
+        a = _central_weights(gamma, np.arange(head))
         conv[: head // step] = np.convolve(a, data[:head])[step - 1 : head : step]
     return conv
 

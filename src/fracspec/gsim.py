@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, SamplingError, _check_whole
 from .grid import csv_table
-from .specmodel import LimitCovariance, SpectralModel, autocovariance_batch
+from .specmodel import MAX_N, LimitCovariance, SpectralModel, autocovariance_batch
 
 #: embedding eigenvalues above this are clipped to 0, below it the embedding fails
 EIG_TOL = -1e-8
@@ -135,7 +135,7 @@ def sample_path(
     model: SpectralModel, n: int, seed: int, mean: float = 0.0, stream: int = 0
 ) -> SamplePath:
     """Draw one exact stationary Gaussian path of length n with the given mean."""
-    n, seed = _check_whole(n, "n", 1), _check_whole(seed, "seed")
+    n, seed = _check_whole(n, "n", 1, MAX_N), _check_whole(seed, "seed")
     sqrt_eigs = _embedding_sqrt_eigs(model, n)
     half = sqrt_eigs.size - 1
     m = 2 * half

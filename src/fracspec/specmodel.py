@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fracops
 from .errors import DomainError, NumericalError, _check_whole
-from .grid import TWO_PI, GridFunction, csv_table, even_grid_function
+from .grid import TWO_PI, GridFunction, _check_grid_points, csv_table, even_grid_function
 
 #: resolution of the high-accuracy truth profiles
 TRUTH_POINTS = 65537
@@ -157,7 +157,8 @@ def frac_truth_profile(
     evaluation at stride K step, which computes only the points asked for.
     """
     fracops._check_alpha(alpha)
-    num_points, step = _check_whole(num_points, "num_points", 2), _check_whole(step, "step", 1)
+    num_points = _check_grid_points(num_points, "num_points", auto=False)
+    step = _check_whole(step, "step", 1)
     if (num_points - 1) % step:
         raise DomainError(f"step must divide {num_points - 1}, got {step}")
     if model.kind == "constant":
@@ -237,7 +238,6 @@ class LimitCovariance:
     a negative eigenvalue to zero; on the Cholesky path it is False.
     """
 
-    alpha: float
     probe_grid: np.ndarray
     matrix: np.ndarray
     factor: np.ndarray
@@ -522,13 +522,13 @@ def limit_covariance(
     except np.linalg.LinAlgError:
         pass
     else:
-        return LimitCovariance(alpha, probes, mat, factor, False)
+        return LimitCovariance(probes, mat, factor, False)
     eigvals, eigvecs = np.linalg.eigh(mat)
     clip = bool(eigvals[0] < 0.0)
     projected = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
     projected = 0.5 * (projected + projected.T)
     factor = _psd_cholesky(projected)
-    return LimitCovariance(alpha, probes, projected, factor, clip)
+    return LimitCovariance(probes, projected, factor, clip)
 
 
 def _psd_cholesky(mat: np.ndarray) -> np.ndarray:

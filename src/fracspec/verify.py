@@ -49,14 +49,16 @@ _MAX_CALIBRATION_FLOATS = 1 << 25
 #: most floats in one column block of the limit-process draws reduced to sup norms
 _SUP_BLOCK_FLOATS = 1 << 15
 
-#: (file name, CSV header) of each table of the mc bundle, in writing order
+#: (file name, CSV header, report.json key) of each table of the mc bundle, in
+#: writing order; report.json also holds the Fejer bias rows (n, sup_err, bound)
+#: under "fejer", which no CSV file does
 MC_TABLES = (
-    ("bias.csv", "n,lambda,bias"),
-    ("cov.csv", "n,lambda,mu,emp,theory,rel_err"),
-    ("normality.csv", "n,lambda,ks,p"),
-    ("tails.csv", "n,u,w0,w"),
-    ("holder.csv", "n,h,q95_ratio"),
-    ("confidence.csv", "n,delta,u0,coverage"),
+    ("bias.csv", "n,lambda,bias", "bias"),
+    ("cov.csv", "n,lambda,mu,emp,theory,rel_err", "covariance"),
+    ("normality.csv", "n,lambda,ks,p", "normality"),
+    ("tails.csv", "n,u,w0,w", "tails"),
+    ("holder.csv", "n,h,q95_ratio", "holder"),
+    ("confidence.csv", "n,delta,u0,coverage", "confidence"),
 )
 
 
@@ -130,20 +132,18 @@ class McConfig:
 
 @dataclass
 class McReport:
-    """Aggregated Monte Carlo results, ready for CSV/JSON emission."""
+    """Aggregated Monte Carlo results, ready for CSV/JSON emission. `rows` holds
+    the rows of each table under its report.json key (MC_TABLES, and "fejer");
+    the tails rows are (n, u, w0, w, censored)."""
 
     seed: int
     model_id: str
     alpha: float
     replications: int
-    bias_rows: list = field(default_factory=list)  # (n, lambda, bias)
     sup_bias: dict = field(default_factory=dict)  # n -> sup-grid bias
-    cov_rows: list = field(default_factory=list)  # (n, lam, mu, emp, theory, rel_err)
-    normality_rows: list = field(default_factory=list)  # (n, lam, ks, p)
-    tail_rows: list = field(default_factory=list)  # (n, u, w0, w, censored)
-    holder_rows: list = field(default_factory=list)  # (n, h, q95_ratio)
-    fejer_rows: list = field(default_factory=list)  # (n, sup_err, bound)
-    confidence_rows: list = field(default_factory=list)  # (n, delta, u0, coverage)
+    rows: dict = field(
+        default_factory=lambda: {key: [] for *_, key in MC_TABLES} | {"fejer": []}
+    )
 
     def to_json_text(self) -> str:
         payload = {
@@ -152,25 +152,18 @@ class McReport:
             "alpha": self.alpha,
             "replications": self.replications,
             "sup_bias": {str(n): v for n, v in sorted(self.sup_bias.items())},
-            "bias": self.bias_rows,
-            "covariance": self.cov_rows,
-            "normality": self.normality_rows,
-            "tails": self.tail_rows,
-            "holder": self.holder_rows,
-            "fejer": self.fejer_rows,
-            "confidence": self.confidence_rows,
+            **self.rows,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def csv_tables(self, comments: Sequence[str]) -> dict[str, str]:
-        """CSV text of each table, keyed by file name, each starting with `comments`."""
-        tails = [
+        """CSV text of each table, keyed by file name, each starting with `comments`;
+        tails.csv writes `censored` in place of w."""
+        rows = dict(self.rows, tails=[
             (n, u, w0, "censored" if censored else w)
-            for (n, u, w0, w, censored) in self.tail_rows
-        ]
-        rows = (self.bias_rows, self.cov_rows, self.normality_rows, tails, self.holder_rows,
-                self.confidence_rows)
-        return {name: csv_table(head, r, comments) for (name, head), r in zip(MC_TABLES, rows)}
+            for (n, u, w0, w, censored) in self.rows["tails"]
+        ])
+        return {name: csv_table(head, rows[key], comments) for name, head, key in MC_TABLES}
 
 
 def expected_estimate(
@@ -295,12 +288,8 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
     threads = _check_whole(threads, "threads")
     alpha = config.alpha
     rep = config.replications
-    report = McReport(
-        seed=config.seed,
-        model_id=model.model_id,
-        alpha=alpha,
-        replications=rep,
-    )
+    report = McReport(seed=config.seed, model_id=model.model_id, alpha=alpha, replications=rep)
+    rows = report.rows
     u0 = _band_half_width(
         model, alpha, BAND_PROBES, False, config.seed, MC_CALIBRATION_DRAWS,
         config.delta_confidence,
@@ -309,7 +298,7 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
     probe_theory = limit_covariance(model, alpha, config.probe_lambdas)
     # every n's Fejér bias (two floats) before the first replication block, so its
     # temporaries are freed before the blocks allocate; the grids stay per n
-    report.fejer_rows.extend((n, *specmodel._fejer_bias(model, n)) for n in config.n_list)
+    rows["fejer"].extend((n, *specmodel._fejer_bias(model, n)) for n in config.n_list)
     for n_idx, n in enumerate(config.n_list):
         num_points = config.grid_points or default_grid_points(n)
         mean_fn = expected_estimate(model, n, alpha, num_points)
@@ -338,7 +327,7 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
         report.sup_bias[n] = float(np.max(bias_grid))
         lam = np.linspace(0.0, TWO_PI, num_points)
         for p in config.probe_lambdas:
-            report.bias_rows.append((n, p, float(np.interp(p, lam, bias_grid))))
+            rows["bias"].append((n, p, float(np.interp(p, lam, bias_grid))))
 
         emp_cov = np.cov(agg["probe_centered"].T).reshape(len(config.probe_lambdas), -1)
         for i, li in enumerate(config.probe_lambdas):
@@ -346,25 +335,25 @@ def run_monte_carlo(model: SpectralModel, config: McConfig, threads: int = 1) ->
                 theory = float(probe_theory.matrix[i, j])
                 emp = float(emp_cov[i, j])
                 rel = abs(emp - theory) / abs(theory) if theory else math.inf
-                report.cov_rows.append((n, li, config.probe_lambdas[j], emp, theory, rel))
+                rows["covariance"].append((n, li, config.probe_lambdas[j], emp, theory, rel))
 
         for i, p in enumerate(config.probe_lambdas):
             sigma = math.sqrt(probe_theory.matrix[i, i])
             ks, pval = kstest_norm(agg["probe_centered"][:, i] / sigma)
-            report.normality_rows.append((n, p, ks, pval))
+            rows["normality"].append((n, p, ks, pval))
 
         censor = 2.0 / rep
         for u in config.tail_u_grid:
             w0 = float(np.mean(agg["sup_centered"] > u))
             w = float(np.mean(agg["sup_deviation"] > u))
-            report.tail_rows.append((n, u, w0, w, bool(w < censor)))
+            rows["tails"].append((n, u, w0, w, bool(w < censor)))
 
         for k, h in enumerate(DEFAULT_H_GRID):
             ratios = agg["holder_moduli"][:, k] / h**config.holder_delta
-            report.holder_rows.append((n, h, _quantile(ratios, 0.95)))
+            rows["holder"].append((n, h, _quantile(ratios, 0.95)))
 
         coverage = float(np.mean(agg["band_sup_deviation"] <= u0))
-        report.confidence_rows.append((n, config.delta_confidence, u0, coverage))
+        rows["confidence"].append((n, config.delta_confidence, u0, coverage))
 
     return report
 

@@ -1018,6 +1018,32 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "2"
 
+    _SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+    @pytest.mark.parametrize("script", _SCRIPTS, ids=lambda p: p.stem)
+    def test_script_runs_one_thread(self, script):
+        # each script pins BLAS as the CLI does, before its imports load numpy
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads")
+        proc = self._python(
+            f"import os, runpy, sys\nrunpy.run_path({str(script)!r}, run_name='x')\n"
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "len(os.listdir('/proc/self/task')))",
+            env=_env_without_blas_threads(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "1", "1"]
+
+    @pytest.mark.parametrize("script", _SCRIPTS, ids=lambda p: p.stem)
+    def test_script_keeps_preset_blas_threads(self, script):
+        proc = self._python(
+            f"import os, runpy\nrunpy.run_path({str(script)!r}, run_name='x')\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])",
+            env=_env_without_blas_threads(OPENBLAS_NUM_THREADS="2"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "2"
+
     def test_mc_outputs_identical_across_blas_threads(self, tmp_path):
         cfg = _write(
             tmp_path / "mc.ini",

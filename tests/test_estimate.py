@@ -219,10 +219,16 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
             lambda path, j: estimate.periodogram(path, 257.5),
             "num_points must be a whole number, got 257.5",
         ),
+        # MAX_GRID_POINTS, the bound of every verb, holds for library callers too
+        (
+            lambda path, j: estimate.periodogram(path, estimate.MAX_GRID_POINTS + 1),
+            f"num_points must be at most {estimate.MAX_GRID_POINTS}, "
+            f"got {estimate.MAX_GRID_POINTS + 1}",
+        ),
     ],
     ids=["periodogram-1-point", "plugin-n-0", "plugin-alpha-half", "plugin-lam-0", "plugin-lam-7",
          *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE],
-         "periodogram-257.5"],
+         "periodogram-257.5", "periodogram-above-max"],
 )
 def test_refusals_name_the_bad_input(call, message):
     path = gsim.sample_path(AR1, 64, seed=0)

@@ -223,6 +223,54 @@ def _uncached_frac_integral(v: np.ndarray, order: float) -> np.ndarray:
     return np.concatenate(([0.0], scale * (b * v[0] + conv)))
 
 
+def _old_central_weights(gamma: float, k: np.ndarray) -> np.ndarray:
+    """_central_weights before it held a[0] = 1: the formula at every k, which
+    its callers kept at k >= 1 and then set a[0] = 1 by hand."""
+    out = np.empty(k.size)
+    small = k < fracops._SERIES_CUTOFF
+    ks = k[small].astype(float)
+    out[small] = (ks + 1.0) ** gamma - 2.0 * ks**gamma + (ks - 1.0) ** gamma
+    kl = k[~small].astype(float)
+    x2 = 1.0 / kl**2
+    acc = np.zeros_like(kl)
+    for m in range(fracops._SERIES_TERMS, 0, -1):
+        acc = x2 * (acc + 2.0 * fracops._binom(gamma, 2 * m))
+    out[~small] = kl**gamma * acc
+    return out
+
+
+class TestCentralWeights:
+    def test_first_weight_is_one_without_the_power_formula(self):
+        # (k+1)^g - 2 k^g + (k-1)^g is nan at k = 0 for a non-integer g
+        with np.errstate(invalid="raise"):
+            a = fracops._central_weights(1.75, np.arange(20))
+        assert a[0] == 1.0
+        assert np.array_equal(a[1:], _old_central_weights(1.75, np.arange(1, 20)))
+
+    def test_every_caller_keeps_the_bits_of_its_own_first_weight(self, monkeypatch):
+        gamma = 1.75
+        # the full grid: a[0] = 1 prepended
+        a = np.concatenate(([1.0], _old_central_weights(gamma, np.arange(1, 8192))))
+        size = fracops._fft_length(2 * 8193 - 3)
+        a_hat, a_head, _, got_size = fracops._product_weights(0.75, 8193)
+        assert got_size == size
+        assert np.array_equal(a_hat, np.fft.rfft(a, size))
+        assert np.array_equal(a_head, a[: fracops._DIRECT_POINTS])
+        # the blocked product: the weight at max(k, 1), then a[0] set in the matrix
+        blocks = _old_central_weights(gamma, np.maximum(np.arange(65536), 1))
+        blocks = blocks.reshape(-1, 1024)[:, ::-1].copy()
+        blocks[0, -1] = 1.0
+        assert np.array_equal(fracops._block_weights(0.75, 65537, 1024)[0], blocks)
+        # the phase split: its weights and its direct head, built as they were
+        g = GridFunction(0.1 + np.random.default_rng(8).exponential(size=65537))
+        got = fracops.frac_integral(g, 0.75, 8).values
+        monkeypatch.setattr(
+            fracops, "_central_weights",
+            lambda gamma, k: np.where(k == 0, 1.0, _old_central_weights(gamma, np.maximum(k, 1))),
+        )
+        assert np.array_equal(got, fracops.frac_integral(g, 0.75, 8).values)
+
+
 class TestWeightCache:
     @pytest.mark.parametrize("order", [0.5, 0.75, 0.99])
     @pytest.mark.parametrize("num_points", [513, 4097, 8193, 16385, 65537])

@@ -177,13 +177,18 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
             gsim.SamplingError, "sample path contains non-finite values",
         ),
         (lambda: gsim.sample_path(AR1, 0, seed=0), DomainError, "n must be at least 1, got 0"),
+        # MAX_N, the bound of every verb, holds for library callers too
+        (
+            lambda: gsim.sample_path(AR1, specmodel.MAX_N + 1, seed=0), DomainError,
+            f"n must be at most {specmodel.MAX_N}, got {specmodel.MAX_N + 1}",
+        ),
         *[
             (lambda call=call, bad=bad: call(bad), DomainError,
              f"{name} must be a whole number, got {bad!r}")
             for _, name, call in _WHOLE_ARGS for bad in _NOT_WHOLE
         ],
     ],
-    ids=["path-length-not-n", "path-non-finite", "sample-n-0",
+    ids=["path-length-not-n", "path-non-finite", "sample-n-0", "sample-n-above-max",
          *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE]],
 )
 def test_refusals_name_the_bad_input(call, error, message):

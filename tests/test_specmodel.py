@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from fracspec import DomainError, GridFunction, NumericalError, TWO_PI
 from fracspec import cli, specmodel, verify
+from fracspec.grid import MAX_GRID_POINTS
 from fracspec.specmodel import SpectralModel
 
 CONST = SpectralModel.constant(1.0 / TWO_PI)
@@ -419,7 +420,7 @@ class TestEigensolverFree:
         u0, coverage = verify.confidence_band(AR1, 0.25, 256, 0.05, 1000, seed=0, replications=5)
         assert u0 > 0 and 0.0 <= coverage <= 1.0
         config = verify.McConfig(alpha=0.25, n_list=(128,), replications=5, seed=0)
-        assert len(verify.run_monte_carlo(AR1, config).cov_rows) == 3
+        assert len(verify.run_monte_carlo(AR1, config).rows["covariance"]) == 3
 
     def test_truth_verb_runs(self, no_eigensolver, tmp_path):
         config = Path(__file__).resolve().parents[1] / "configs" / "truth_custom.ini"
@@ -628,6 +629,13 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
             lambda: specmodel.expected_periodogram(AR1, 64, 257.5),
             "out_grid must be a whole number, got 257.5",
         ),
+        # MAX_GRID_POINTS, the bound of every verb, holds for library callers too
+        *[
+            (lambda call=call: call(MAX_GRID_POINTS + 1),
+             f"num_points must be at most {MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}")
+            for call in (lambda v: specmodel.frac_truth_profile(AR1, 0.25, v),
+                         lambda v: specmodel.spectral_profile(AR1, v))
+        ],
     ],
     ids=[
         "custom-no-grid", "custom-zero-density", "unknown-kind", "truth-alpha-half",
@@ -636,7 +644,7 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
         "theta-probe-above-2pi", "theta-1025-probes", "truth-1-point", "truth-0-points",
         "profile-1-point", "profile-0-points",
         *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE],
-        "expected-out-grid-257.5",
+        "expected-out-grid-257.5", "truth-above-max", "profile-above-max",
     ],
 )
 def test_refusals_name_the_bad_input(call, message):

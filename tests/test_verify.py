@@ -164,22 +164,34 @@ def small_report():
 class TestRunMonteCarlo:
     def test_report_tables_complete(self, small_report):
         rep = small_report
-        assert {r[0] for r in rep.bias_rows} == {128}
-        assert len(rep.cov_rows) == 3  # two probes: (1,1), (1,2), (2,2)
-        assert len(rep.normality_rows) == 2
-        assert len(rep.holder_rows) == len(verify.DEFAULT_H_GRID)
-        assert len(rep.fejer_rows) == 1
-        assert len(rep.confidence_rows) == 1
+        assert {r[0] for r in rep.rows["bias"]} == {128}
+        assert len(rep.rows["covariance"]) == 3  # two probes: (1,1), (1,2), (2,2)
+        assert len(rep.rows["normality"]) == 2
+        assert len(rep.rows["holder"]) == len(verify.DEFAULT_H_GRID)
+        assert len(rep.rows["fejer"]) == 1
+        assert len(rep.rows["confidence"]) == 1
 
     def test_tail_censoring(self, small_report):
         censor = 2.0 / small_report.replications
-        for (_, _, _, w, censored) in small_report.tail_rows:
+        for (_, _, _, w, censored) in small_report.rows["tails"]:
             assert censored == (w < censor)
 
     def test_json_round_trips(self, small_report):
         payload = json.loads(small_report.to_json_text())
         assert payload["replications"] == 60
         assert "runtime_s" not in payload  # byte-identical reruns
+
+    def test_bundle_follows_mc_tables(self, small_report):
+        # MC_TABLES states each table's file, header, order and report.json key once
+        payload = json.loads(small_report.to_json_text())
+        tables = small_report.csv_tables([])
+        assert list(tables) == [name for name, *_ in verify.MC_TABLES]
+        assert set(payload) == {"seed", "model_id", "alpha", "replications", "sup_bias", "fejer",
+                                *(key for *_, key in verify.MC_TABLES)}
+        for name, head, key in verify.MC_TABLES:
+            lines = tables[name].splitlines()
+            assert lines[0] == head
+            assert len(lines) - 1 == len(payload[key]) > 0
 
     def test_deterministic(self):
         cfg = _config(replications=10)
@@ -209,7 +221,7 @@ class TestRunMonteCarlo:
         # covariance (the even-weight constant is 2x larger there)
         cfg = _config(n_list=(512,), replications=300, seed=21)
         rep = verify.run_monte_carlo(CONST, cfg)
-        for (n, lam, mu, emp, _theory, _rel) in rep.cov_rows:
+        for (n, lam, mu, emp, _theory, _rel) in rep.rows["covariance"]:
             sym = specmodel.theta_point(CONST, 0.25, lam, mu, real_symmetry=True)
             assert emp == pytest.approx(sym, rel=0.35)
 
@@ -290,7 +302,7 @@ class TestConfidenceBand:
         rng = np.random.default_rng(probes)
         factor = np.tril(rng.standard_normal((probes, probes)))
         grid = verify._band_probes(probes)
-        cov = specmodel.LimitCovariance(0.25, grid, factor @ factor.T, factor, False)
+        cov = specmodel.LimitCovariance(grid, factor @ factor.T, factor, False)
         full = np.max(np.abs(gsim.sample_limit_process(cov, 11, draws)), axis=0)
         np.testing.assert_allclose(verify._sup_norms(cov, 11, draws), full, rtol=1e-13, atol=0)
 
