@@ -89,14 +89,6 @@ class GridFunction:
         g.setflags(write=False)
         return g
 
-    def interp(self, lam) -> np.ndarray | float:
-        """Piecewise-linear interpolation at points inside [0, 2*pi]."""
-        lam_arr = np.asarray(lam, dtype=float)
-        if np.any(lam_arr < -1e-12) or np.any(lam_arr > TWO_PI + 1e-12):
-            raise DomainError("interpolation point outside [0, 2*pi]")
-        out = np.interp(np.clip(lam_arr, 0.0, TWO_PI), self.grid, self.values)
-        return float(out) if np.isscalar(lam) or lam_arr.ndim == 0 else out
-
     # --- CSV serialization: two columns `lambda,value`, 17 significant digits ---
 
     def to_csv_text(self, comments: Sequence[str] = ()) -> str:

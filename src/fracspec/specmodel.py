@@ -453,7 +453,8 @@ def _mirror(model: SpectralModel, alpha: float, lam: np.ndarray, mu: np.ndarray)
 def theta_point(model: SpectralModel, alpha: float, lam, mu, real_symmetry: bool = False):
     """Limit covariance of the scaled estimator process at probe pairs.
 
-    lam and mu broadcast against each other; a float comes back for scalars.
+    lam and mu lie in [0, 2 pi] and broadcast against each other; a float comes
+    back for scalars.
     With real_symmetry=False this is the even-weight convention
     (4 pi / Gamma^2(1-a)) * direct integral. With real_symmetry=True the
     one-sided weight applied to a real sample gives half that constant plus a
@@ -464,6 +465,12 @@ def theta_point(model: SpectralModel, alpha: float, lam, mu, real_symmetry: bool
     fracops._check_alpha(alpha)
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
     hi, lo = np.maximum(lam, mu), np.minimum(lam, mu)
+    # closed at 0, which beta_sq asks for; a nan pair is outside too
+    outside = ~((lo >= 0.0) & (hi <= TWO_PI))
+    if outside.any():
+        i = np.flatnonzero(outside.ravel())[0]
+        pair = f"({lam.ravel()[i]:g}, {mu.ravel()[i]:g})"
+        raise DomainError(f"(lam, mu) must lie in [0, 2*pi], got {pair}")
     value, gap = _direct(model, alpha, hi, lo)
     scale = 4.0 * math.pi / math.gamma(1.0 - alpha) ** 2
     if real_symmetry:

@@ -113,12 +113,13 @@ class McConfig:
         # a nan or inf threshold would put a bare NaN token into report.json
         if not all(math.isfinite(u) for u in self.tail_u_grid):
             raise DomainError(f"tail_u_grid entries must be finite, got {self.tail_u_grid!r}")
-        delta = self.holder_delta
+        delta, gap = self.holder_delta, 0.5 - self.alpha
         if delta is None:
-            delta = max(0.5 - self.alpha - 0.05, 0.01)
-        if not (0.0 < delta < 0.5 - self.alpha):
+            # above alpha = 0.49 the floor 0.01 is not below the gap, so take half the gap
+            delta = max(gap - 0.05, 0.01) if gap > 0.01 else gap / 2.0
+        if not (0.0 < delta < gap):
             raise DomainError(
-                f"holder_delta must lie in (0, 1/2 - alpha) = (0, {0.5 - self.alpha:g}), "
+                f"holder_delta must lie in (0, 1/2 - alpha) = (0, {gap:g}), "
                 f"got {self.holder_delta!r}"
             )
         object.__setattr__(self, "grid_points", grid_points or None)
@@ -171,6 +172,9 @@ def expected_estimate(
 ) -> GridFunction:
     """Exact mean of the fractional estimator: fractional integral of the
     Fejer-smoothed density."""
+    fracops._check_alpha(alpha)
+    n = _check_whole(n, "n", 1, specmodel.MAX_N)
+    num_points = _check_grid_points(num_points, "num_points", auto=False)
     smoothed = specmodel.expected_periodogram(model, n, num_points)
     return fracops.frac_integral(smoothed, 1.0 - alpha)
 

@@ -2,6 +2,7 @@
 
 The path is also prepended to PYTHONPATH so that the tests which start
 `python -m fracspec` or a script in a child process import the same tree.
+BLAS runs on one thread in the test process, as in the CLI.
 """
 
 import concurrent.futures
@@ -15,6 +16,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
+# before any test module loads numpy: importing fracspec.cli pins BLAS to one
+# thread, as in the CLI and the scripts, unless the caller set a thread count
+import fracspec.cli  # noqa: E402, F401
+
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 

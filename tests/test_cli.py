@@ -383,6 +383,16 @@ class TestPlumbing:
         assert _run("mc", "--config", str(cfg), "--out", str(out)) == 0, capsys.readouterr().err
         assert "nan" not in (out / "report.json").read_text().lower()
 
+    def test_mc_alpha_near_half_runs_without_holder_delta(self, tmp_path, capsys):
+        # the default holder_delta was 0.01, not below 1/2 - alpha, and exited 1
+        cfg = _write(
+            tmp_path / "m.ini",
+            "[model]\nkind = ar1\nrho = 0.5\n\n"
+            "[mc]\nalpha = 0.495\nn_list = 64\nreplications = 2\n",
+        )
+        out = tmp_path / "o"
+        assert _run("mc", "--config", str(cfg), "--out", str(out)) == 0, capsys.readouterr().err
+
     @pytest.mark.parametrize("n_list", ["0", "-3 8"])
     @pytest.mark.parametrize(
         "model", ["kind = ar1\nrho = 0.5\n", "kind = custom_grid\ngrid_csv_path = missing.csv\n"],

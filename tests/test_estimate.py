@@ -114,68 +114,6 @@ class TestFracEstimate:
         assert est.values[0] == 0.0
 
 
-class TestPluginVariance:
-    N = 1024
-
-    @classmethod
-    def _mean_plugin(cls, alpha: float, lam: float) -> float:
-        reps = 200
-        acc = 0.0
-        for r in range(reps):
-            j = estimate.periodogram(gsim.sample_path(CONST, cls.N, seed=20, stream=r))
-            acc += estimate.plugin_variance(j, cls.N, alpha, lam)
-        return acc / reps
-
-    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4, 0.45])
-    def test_recovers_limit_variance_in_expectation(self, alpha):
-        # averaged over replications the plug-in tracks the stated limit variance;
-        # plug-in / limit is 0.992, 0.988, 1.010 and 1.052 (half of J^2 gave
-        # 0.991, 1.001, 1.144 and 1.333)
-        target = specmodel.theta_point(CONST, alpha, math.pi, math.pi)
-        assert self._mean_plugin(alpha, math.pi) == pytest.approx(target, rel=0.15)
-
-    @pytest.mark.parametrize("side", [-1, 1], ids=["below-pi", "above-pi"])
-    def test_recovers_limit_variance_next_to_pi(self, side):
-        # one Fourier half-step from pi, a pair looking toward pi straddles it just
-        # below lam and reads 1.244 times the limit at alpha = 0.4; looking away
-        # from pi it reads 0.962 below and 1.022 above
-        lam = math.pi + side * math.pi / self.N
-        target = specmodel.theta_point(CONST, 0.4, lam, lam)
-        assert self._mean_plugin(0.4, lam) == pytest.approx(target, rel=0.15)
-
-    def test_positive(self):
-        j = estimate.periodogram(gsim.sample_path(AR1, 128, seed=6))
-        assert estimate.plugin_variance(j, 128, 0.1, 2.0) > 0.0
-
-    @pytest.mark.parametrize(
-        "num_points, lam, shift",
-        [(4097, math.pi, 4), (4097, 1.0, -4), (4097, TWO_PI, 4), (4001, math.pi, None)],
-    )
-    def test_squares_by_ordinates_one_fourier_frequency_apart(
-        self, monkeypatch, num_points, lam, shift
-    ):
-        # on a grid with (N - 1) / n = 4 the pair is J(nu) J(nu -+ 4 steps), looking
-        # back at lam = pi and 2 pi and ahead at lam = 1; at (N - 1) / n = 3.906
-        # the earlier ordinate is interpolated
-        n, alpha = 1024, 0.25
-        j = estimate.periodogram(gsim.sample_path(CONST, n, seed=4), num_points)
-        seen = []
-        real = estimate.fracops.frac_integral
-        monkeypatch.setattr(
-            estimate.fracops, "frac_integral", lambda g, order: seen.append(g) or real(g, order)
-        )
-        estimate.plugin_variance(j, n, alpha, lam)
-        if shift:
-            expected = j.values[:-1] * np.roll(j.values[:-1], shift)
-            assert np.array_equal(seen[0].values[:-1], expected)
-        else:
-            behind = np.interp((j.grid[:-1] - TWO_PI / n) % TWO_PI, j.grid, j.values)
-            expected = j.values[:-1] * behind
-            # the two interpolation points differ by rounding only
-            atol = 1e-12 * np.max(expected)
-            np.testing.assert_allclose(seen[0].values[:-1], expected, rtol=0, atol=atol)
-
-
 def test_default_grid_points_caps():
     assert estimate.default_grid_points(256) == 4097
     assert estimate.default_grid_points(2048) == 8193
@@ -186,7 +124,6 @@ def test_default_grid_points_caps():
 _WHOLE_ARGS = (
     ("periodogram-points", "num_points", lambda path, j, v: estimate.periodogram(path, v)),
     ("default-grid-n", "n", lambda path, j, v: estimate.default_grid_points(v)),
-    ("plugin-n", "n", lambda path, j, v: estimate.plugin_variance(j, v, 0.25, math.pi)),
     ("estimate-step", "step", lambda path, j, v: estimate.frac_estimate(j, 0.25, v)),
 )
 _NOT_WHOLE = (64.7, math.nan, math.inf)
@@ -196,19 +133,6 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
     "call, message",
     [
         (lambda path, j: estimate.periodogram(path, 1), "num_points must be at least 2, got 1"),
-        (lambda path, j: estimate.plugin_variance(j, 0, 0.25, math.pi), "n must be at least 1"),
-        (
-            lambda path, j: estimate.plugin_variance(j, 64, 0.5, math.pi),
-            "alpha must lie in (0, 1/2), got 0.5",
-        ),
-        (
-            lambda path, j: estimate.plugin_variance(j, 64, 0.25, 0.0),
-            "lambda must lie in (0, 2*pi], got 0.0",
-        ),
-        (
-            lambda path, j: estimate.plugin_variance(j, 64, 0.25, 7.0),
-            "lambda must lie in (0, 2*pi], got 7.0",
-        ),
         *[
             (lambda path, j, call=call, bad=bad: call(path, j, bad),
              f"{name} must be a whole number, got {bad!r}")
@@ -226,7 +150,7 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
             f"got {estimate.MAX_GRID_POINTS + 1}",
         ),
     ],
-    ids=["periodogram-1-point", "plugin-n-0", "plugin-alpha-half", "plugin-lam-0", "plugin-lam-7",
+    ids=["periodogram-1-point",
          *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE],
          "periodogram-257.5", "periodogram-above-max"],
 )

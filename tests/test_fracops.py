@@ -35,7 +35,8 @@ class TestFracIntegral:
         # I^0.5[1](1) = x^0.5 / Gamma(1.5)
         g = GridFunction(np.ones(8193))
         out = fracops.frac_integral(g, 0.5)
-        assert out.interp(1.0) == pytest.approx(1.0 / math.gamma(1.5), rel=1e-6)
+        exact = 1.0 / math.gamma(1.5)
+        assert np.interp(1.0, out.grid, out.values) == pytest.approx(exact, rel=1e-6)
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.75])
@@ -45,7 +46,7 @@ class TestFracIntegral:
         out = fracops.frac_integral(g, beta)
         x = math.pi
         exact = math.gamma(mu + 1) / math.gamma(mu + beta + 1) * x ** (mu + beta)
-        assert out.interp(x) == pytest.approx(exact, rel=1e-4)
+        assert np.interp(x, out.grid, out.values) == pytest.approx(exact, rel=1e-4)
 
     def test_order_one_is_cumulative_trapezoid(self):
         rng = np.random.default_rng(3)
@@ -318,13 +319,14 @@ class TestFracDerivative:
         # D^0.3[1](1) = 1^(-0.3) / Gamma(0.7)
         g = GridFunction(np.ones(8193))
         out = fracops.frac_derivative(g, 0.3)
-        assert out.interp(1.0) == pytest.approx(1.0 / math.gamma(0.7), rel=1e-3)
+        exact = 1.0 / math.gamma(0.7)
+        assert np.interp(1.0, out.grid, out.values) == pytest.approx(exact, rel=1e-3)
 
     def test_derivative_of_matching_power(self):
         # D^0.3[t^0.3](x) = Gamma(1.3) for every x > 0
         g = _power_fn(0.3, 8193)
         out = fracops.frac_derivative(g, 0.3)
-        assert out.interp(3.0) == pytest.approx(math.gamma(1.3), rel=1e-3)
+        assert np.interp(3.0, out.grid, out.values) == pytest.approx(math.gamma(1.3), rel=1e-3)
 
 
 class TestModulus:

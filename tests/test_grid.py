@@ -41,16 +41,6 @@ def test_rejects_bad_input():
         GridFunction(np.array([0.0, 1.0]), periodic=True)
 
 
-def test_interp_endpoints_and_range():
-    g = GridFunction(np.linspace(0, TWO_PI, 65))
-    assert g.interp(0.0) == 0.0
-    assert g.interp(TWO_PI) == pytest.approx(TWO_PI)
-    with pytest.raises(DomainError):
-        g.interp(-0.5)
-    with pytest.raises(DomainError):
-        g.interp(TWO_PI + 0.5)
-
-
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=64),
     st.booleans(),

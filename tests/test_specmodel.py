@@ -144,7 +144,8 @@ class TestSpectralFunction:
             assert total == pytest.approx(specmodel.autocovariance_batch(model, 0)[0], rel=1e-8)
 
     def test_frac_derivative_constant_closed_form(self):
-        val = specmodel.frac_truth_profile(CONST, 0.25, 4097).interp(math.pi)
+        truth = specmodel.frac_truth_profile(CONST, 0.25, 4097)
+        val = np.interp(math.pi, truth.grid, truth.values)
         exact = (1.0 / TWO_PI) * math.pi**0.75 / math.gamma(1.75)
         assert val == pytest.approx(exact, rel=1e-12)
         assert val == pytest.approx(0.40864, abs=5e-5)
@@ -157,7 +158,9 @@ class TestSpectralFunction:
         spectral = specmodel.spectral_profile(AR1, 4097)
         for lam in (math.pi / 2, math.pi):
             oracle, _ = quad(AR1.density, 0.0, lam, epsabs=1e-13, epsrel=1e-13)
-            assert spectral.interp(lam) == pytest.approx(oracle, rel=1e-9)
+            assert np.interp(lam, spectral.grid, spectral.values) == pytest.approx(
+                oracle, rel=1e-9
+            )
 
     @pytest.mark.parametrize(
         "num_points, step",
@@ -268,7 +271,7 @@ class TestFejer:
             math.pi,
             limit=400,
         )
-        assert ej.interp(0.0) == pytest.approx(oracle, rel=1e-8)
+        assert np.interp(0.0, ej.grid, ej.values) == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize(
         "model", [CONST, SpectralModel.ar1(0.95)], ids=["constant", "ar1_0.95"]
@@ -588,6 +591,18 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
         (lambda: specmodel.expected_periodogram(AR1, 8, 1), "out_grid must be at least 2, got 1"),
         (lambda: specmodel.beta_sq(AR1, -0.1), "lambda must lie in [0, 2*pi], got -0.1"),
         (lambda: specmodel.beta_sq(AR1, 7.0), "lambda must lie in [0, 2*pi], got 7.0"),
+        # (7, 7) read below its value at (2 pi, 2 pi), (-1, 3) read 0, and on a
+        # custom grid (7, 7) was a NumericalError
+        *[
+            (lambda lam=lam, mu=mu: specmodel.theta_point(AR1, 0.25, lam, mu),
+             f"(lam, mu) must lie in [0, 2*pi], got {shown}")
+            for lam, mu, shown in ((7.0, 7.0, "(7, 7)"), (-1.0, 3.0, "(-1, 3)"),
+                                   (math.nan, 1.0, "(nan, 1)"))
+        ],
+        (
+            lambda: specmodel.theta_point(_tabulated_ar1(0.5, 257), 0.25, [1.0, 7.0], [1.0, 7.0]),
+            "(lam, mu) must lie in [0, 2*pi], got (7, 7)",
+        ),
         (
             lambda: specmodel.limit_covariance(AR1, 0.5, [1.0]),
             "alpha must lie in [0, 1/2), got 0.5",
@@ -640,6 +655,7 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
     ids=[
         "custom-no-grid", "custom-zero-density", "unknown-kind", "truth-alpha-half",
         "fejer-n-0", "expected-n-0", "expected-out-grid-1", "beta-below-0", "beta-above-2pi",
+        "pair-7-7", "pair-neg-1-3", "pair-nan-1", "pair-custom-grid-7-7",
         "theta-alpha-half", "theta-no-probes", "theta-2d-probes", "theta-probe-0",
         "theta-probe-above-2pi", "theta-1025-probes", "truth-1-point", "truth-0-points",
         "profile-1-point", "profile-0-points",

@@ -31,6 +31,14 @@ class TestMcConfig:
         assert cfg.delta_confidence == 0.05
         assert cfg.tail_u_grid == verify.DEFAULT_TAIL_GRID
 
+    @pytest.mark.parametrize(
+        "alpha, delta", [(0.44, 0.01), (0.49, 0.01), (0.495, 0.0025), (0.499, 0.0005)]
+    )
+    def test_default_holder_delta_lies_below_half_minus_alpha(self, alpha, delta):
+        # the floor 0.01 is not below 1/2 - alpha above 0.49, where half of that gap
+        # is taken; 0.495 and 0.499 used to be refused naming holder_delta
+        assert _config(alpha=alpha).holder_delta == pytest.approx(delta, rel=1e-12)
+
     def test_rejects_alpha_at_half(self):
         with pytest.raises(DomainError):
             _config(alpha=0.5)
@@ -349,12 +357,13 @@ def _full_grid_band(model, alpha, n, delta, draws, seed, reps, num_probes):
     sims = gsim.sample_limit_process(cov, seed + verify._STREAM_CALIBRATION, draws)
     u0 = float(np.quantile(np.max(np.abs(sims), axis=0), 1.0 - delta))
     num_points = estimate.default_grid_points(n)
-    truth = specmodel.frac_truth_profile(model, alpha, num_points).interp(probes)
+    truth = specmodel.frac_truth_profile(model, alpha, num_points)
+    truth = np.interp(probes, truth.grid, truth.values)
     hits = 0
     for r in range(reps):
         path = gsim.sample_path(model, n, seed, stream=verify._STREAM_COVERAGE + r)
         est = estimate.frac_estimate(estimate.periodogram(path, num_points), alpha)
-        hits += np.max(np.abs(est.interp(probes) - truth)) <= u0 / np.sqrt(n)
+        hits += np.max(np.abs(np.interp(probes, est.grid, est.values) - truth)) <= u0 / np.sqrt(n)
     return u0, hits / reps
 
 
@@ -415,6 +424,28 @@ def test_mc_config_refusals_name_the_bad_input(kw, message):
 
 
 @pytest.mark.parametrize(
+    "kw, message",
+    [
+        # n = 4,000,000 built its Fejer mean before sample_path refused n
+        ({"n": specmodel.MAX_N + 1}, "n must be at most 1048576, got 1048577"),
+        ({"n": 0}, "n must be at least 1, got 0"),
+        ({"n": 64.5}, "n must be a whole number, got 64.5"),
+        ({"num_points": 1}, "num_points must be at least 2, got 1"),
+        ({"num_points": 65538}, "num_points must be at most 65537, got 65538"),
+    ],
+    ids=["n-above-max", "n-0", "n-64.5", "points-1", "points-above-max"],
+)
+def test_expected_estimate_refuses_sizes_before_any_work(monkeypatch, kw, message):
+    calls = []
+    monkeypatch.setattr(specmodel, "expected_periodogram", lambda *a: calls.append(a))
+    plan = dict(n=64, num_points=257) | kw
+    with pytest.raises(DomainError) as exc:
+        verify.expected_estimate(AR1, alpha=0.25, **plan)
+    assert str(exc.value) == message
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda alpha: estimate.frac_estimate(GridFunction(np.ones(17)), alpha),
@@ -423,9 +454,11 @@ def test_mc_config_refusals_name_the_bad_input(kw, message):
         lambda alpha: specmodel.limit_covariance(AR1, alpha, [1.0]),
         lambda alpha: _config(alpha=alpha),
         lambda alpha: verify.confidence_band(CONST, alpha, 64, 0.05, 1000, seed=0),
+        # 0.5 gave a mean curve; -0.1 and nan named frac_integral's order
+        lambda alpha: verify.expected_estimate(AR1, 64, alpha, 257),
     ],
     ids=["frac_estimate", "frac_truth_profile", "theta_point", "limit_covariance", "McConfig",
-         "confidence_band"],
+         "confidence_band", "expected_estimate"],
 )
 @pytest.mark.parametrize("alpha", [0.5, -0.1, math.nan])
 def test_every_caller_refuses_alpha_alike(call, alpha):
@@ -435,7 +468,7 @@ def test_every_caller_refuses_alpha_alike(call, alpha):
 
 
 def test_alpha_domain_is_written_once():
-    # fracops._check_alpha is the one check; plugin_variance keeps its open (0, 1/2)
+    # fracops._check_alpha is the one check
     src = Path(verify.__file__).parent
     owners = [m.name for m in sorted(src.glob("*.py")) if "must lie in [0, 1/2)" in m.read_text()]
     assert owners == ["fracops.py"]
