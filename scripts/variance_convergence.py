@@ -9,10 +9,11 @@ the even-weight column is 2x too large away from the right endpoint.
 
 import argparse
 import math
+from pathlib import Path
 
 # before numpy loads: importing fracspec.cli pins BLAS to one thread, as in the
 # CLI, unless the caller set a thread count
-import fracspec.cli  # noqa: F401
+import fracspec.cli
 import numpy as np
 
 from fracspec import TWO_PI, estimate, specmodel, verify
@@ -51,4 +52,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    # a domain or numerical error ends as in the CLI: one stderr line, exit 1 or 2
+    raise SystemExit(fracspec.cli._exit_status(Path(__file__).name, main))

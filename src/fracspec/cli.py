@@ -13,7 +13,7 @@ import sys
 import tempfile
 from configparser import ConfigParser, Error as IniError
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 # the linear algebra is small, and an idle BLAS worker spins beside the FFT loop and
 # multiplies with the --threads pool workers, which inherit this environment
@@ -360,24 +360,32 @@ _VERBS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run_verb(args: argparse.Namespace) -> None:
+    sections = _read_config(args.config, args.verb)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _, _, command = _VERBS[args.verb]
+    names, texts = command(args, sections, args.config.parent.resolve())
+    _write_bundle(args.out, names, texts, args.force)
+
+
+def _exit_status(prog: str, run: Callable[..., object], *args) -> int:
+    """Call run(*args); end a domain, numerical or I/O error in one stderr line and its status."""
     try:
-        sections = _read_config(args.config, args.verb)
-        args.out.mkdir(parents=True, exist_ok=True)
-        _, _, command = _VERBS[args.verb]
-        names, texts = command(args, sections, args.config.parent.resolve())
-        _write_bundle(args.out, names, texts, args.force)
-    except (DomainError, ConfigError) as exc:
-        print(f"fracspec: error: {exc}", file=sys.stderr)
+        run(*args)
+    except DomainError as exc:
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
     except NumericalError as exc:
-        print(f"fracspec: numerical error: {exc}", file=sys.stderr)
+        print(f"{prog}: numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except OSError as exc:
-        print(f"fracspec: i/o error: {exc}", file=sys.stderr)
+        print(f"{prog}: i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
     return _EXIT_OK
+
+
+def main(argv: list[str] | None = None) -> int:
+    return _exit_status("fracspec", _run_verb, _build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

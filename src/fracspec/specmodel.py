@@ -234,8 +234,9 @@ class LimitCovariance:
     Where Theta factors by Cholesky, `matrix` holds its values as computed
     and `factor` is that Cholesky factor. Otherwise (a repeated probe, say)
     `matrix` is Theta's projection onto the PSD cone, `factor` the
-    projection's factor, and `clip_applied` says whether the projection set
-    a negative eigenvalue to zero; on the Cholesky path it is False.
+    projection's square root from its eigenvectors, and `clip_applied` says
+    whether the projection set a negative eigenvalue to zero; on the Cholesky
+    path it is False.
     """
 
     probe_grid: np.ndarray
@@ -375,6 +376,8 @@ def _panel_rule(ends: np.ndarray, exponent: float, size: int) -> tuple[np.ndarra
     )
 
 
+# an f^2 that overflows sums to inf or nan, which theta_point refuses by name
+@np.errstate(over="ignore", invalid="ignore")
 def _one_sided(
     model: SpectralModel, alpha: float, origin: np.ndarray, sign: float,
     length: np.ndarray, exponent: float, pole: np.ndarray | None = None,
@@ -459,8 +462,10 @@ def theta_point(model: SpectralModel, alpha: float, lam, mu, real_symmetry: bool
     (4 pi / Gamma^2(1-a)) * direct integral. With real_symmetry=True the
     one-sided weight applied to a real sample gives half that constant plus a
     mirror term active when lam + mu > 2 pi; this matches simulation.
-    A gap above _RULE_TOL (relative) between the product rule and one with
-    more nodes is a NumericalError naming the pair.
+    A value that is not finite, or not positive (f^2 overflowed or underflowed;
+    it is 0 only where the smaller point is 0), or a gap above _RULE_TOL
+    (relative) between the product rule and one with more nodes, is a
+    NumericalError naming the pair.
     """
     fracops._check_alpha(alpha)
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
@@ -476,14 +481,14 @@ def theta_point(model: SpectralModel, alpha: float, lam, mu, real_symmetry: bool
     if real_symmetry:
         mirror, mirror_gap = _mirror(model, alpha, hi, lo)
         value, gap, scale = value + mirror, gap + mirror_gap, 0.5 * scale
-    bad = gap > _RULE_TOL * np.abs(value)
+    out = scale * value
+    bad = ~np.isfinite(out) | ((out <= 0.0) & (lo > 0.0)) | (gap > _RULE_TOL * np.abs(value))
     if bad.any():
         i = np.flatnonzero(bad.ravel())[0]
         raise NumericalError(
-            f"limit covariance quadrature error {gap.ravel()[i]:g} at "
-            f"(lam, mu)=({hi.ravel()[i]:g}, {lo.ravel()[i]:g})"
+            f"limit covariance {out.ravel()[i]:g} with quadrature error {gap.ravel()[i]:g} "
+            f"at (lam, mu)=({hi.ravel()[i]:g}, {lo.ravel()[i]:g})"
         )
-    out = scale * value
     return float(out) if out.ndim == 0 else out
 
 
@@ -514,8 +519,8 @@ def limit_covariance(
     """Covariance matrix of the limit process on a probe grid, and its factor.
 
     Theta is factored by Cholesky first. Only when that fails is it sent
-    through its eigendecomposition: negative eigenvalues are clipped to
-    zero, and the projection is factored with _psd_cholesky's jitter.
+    through its eigendecomposition V diag(w) V^T: negative eigenvalues are
+    clipped to zero, and V diag(sqrt(w)) is the projection's exact square root.
     """
     fracops._check_alpha(alpha)
     probes = np.array(_check_probes(probe_grid))
@@ -525,25 +530,11 @@ def limit_covariance(
         model, alpha, probes[rows], probes[cols], real_symmetry=real_symmetry
     )
     try:
-        factor = np.linalg.cholesky(mat)
+        return LimitCovariance(probes, mat, np.linalg.cholesky(mat), False)
     except np.linalg.LinAlgError:
         pass
-    else:
-        return LimitCovariance(probes, mat, factor, False)
     eigvals, eigvecs = np.linalg.eigh(mat)
-    clip = bool(eigvals[0] < 0.0)
-    projected = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    clipped = np.clip(eigvals, 0.0, None)
+    projected = (eigvecs * clipped) @ eigvecs.T
     projected = 0.5 * (projected + projected.T)
-    factor = _psd_cholesky(projected)
-    return LimitCovariance(probes, projected, factor, clip)
-
-
-def _psd_cholesky(mat: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.diag(mat))) or 1.0
-    jitter = 0.0
-    for _ in range(8):
-        try:
-            return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = scale * 1e-14 if jitter == 0.0 else jitter * 10.0
-    raise NumericalError("PSD factorization failed after jitter escalation")
+    return LimitCovariance(probes, projected, eigvecs * np.sqrt(clipped), bool(eigvals[0] < 0.0))

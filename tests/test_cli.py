@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import json
 import math
 import os
 import subprocess
@@ -39,6 +40,10 @@ def sim_ini(tmp_path):
 
 def _run(*argv) -> int:
     return main(list(argv))
+
+
+def _refuse_constant(token: str):
+    raise AssertionError(f"bare {token} token in JSON")
 
 
 class TestPlumbing:
@@ -382,6 +387,34 @@ class TestPlumbing:
         out = tmp_path / "o"
         assert _run("mc", "--config", str(cfg), "--out", str(out)) == 0, capsys.readouterr().err
         assert "nan" not in (out / "report.json").read_text().lower()
+        # a bare NaN or Infinity token is not JSON
+        json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+
+    @pytest.mark.parametrize(
+        "verb, section",
+        [
+            ("truth", "[truth]\nalpha = 0.25\n"),
+            ("confidence",
+             "[confidence]\nalpha = 0.25\nn = 64\nreplications = 3\ncalibration_draws = 1000\n"),
+            ("mc", "[mc]\nalpha = 0.25\nn_list = 64\nreplications = 2\n"),
+        ],
+        ids=["truth", "confidence", "mc"],
+    )
+    @pytest.mark.parametrize(
+        "c, shown", [("1e300", "inf"), ("1e-300", "0")], ids=["1e300", "1e-300"]
+    )
+    def test_density_squared_out_of_range_exits_numerical(
+        self, tmp_path, capsys, verb, section, c, shown
+    ):
+        # f^2 overflows to inf, or underflows to 0: truth wrote an all-inf
+        # theta.csv, confidence a u0 of nan or of 3.4e-07, and mc bare NaN tokens
+        cfg = _write(tmp_path / "c.ini", f"[model]\nkind = constant\nc = {c}\n\n{section}")
+        out = tmp_path / "o"
+        assert _run(verb, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fracspec: numerical error: limit covariance {shown} with ")
+        assert " at (lam, mu)=(" in err
+        assert list(out.iterdir()) == []
 
     def test_mc_alpha_near_half_runs_without_holder_delta(self, tmp_path, capsys):
         # the default holder_delta was 0.01, not below 1/2 - alpha, and exited 1

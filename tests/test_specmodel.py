@@ -353,9 +353,12 @@ class TestLimitCovariance:
 
 
 class TestPsdClipping:
+    """A Theta that Cholesky refuses gets its PSD projection and that
+    projection's own square root, which reproduces it."""
+
     def test_indefinite_matrix_is_projected(self, monkeypatch):
         # Theta = [[1, 2], [2, 1]] has eigenvalues -1 and 3: the projection
-        # keeps 3 v v^T, v = (1, 1) / sqrt 2, whose factor needs the jitter
+        # keeps 3 v v^T, v = (1, 1) / sqrt 2
         monkeypatch.setattr(
             specmodel, "theta_point",
             lambda model, alpha, lam, mu, real_symmetry=False: np.where(lam == mu, 1.0, 2.0),
@@ -364,30 +367,25 @@ class TestPsdClipping:
         assert cov.clip_applied
         np.testing.assert_allclose(cov.matrix, np.full((2, 2), 1.5), rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(cov.matrix).min() >= -1e-12
-        np.testing.assert_allclose(cov.factor @ cov.factor.T, cov.matrix, rtol=0, atol=1e-12)
+        assert np.max(np.abs(cov.factor @ cov.factor.T - cov.matrix)) <= 1e-13 * 1.5
 
     def test_psd_matrix_is_not_clipped(self):
         cov = specmodel.limit_covariance(AR1, 0.25, [1.0, 2.0, 3.0])
         assert not cov.clip_applied
 
-
-class TestPsdCholesky:
-    """The jitter fallback of the limit covariance's factorization."""
-
-    def test_singular_matrix_factors_after_jitter(self):
+    def test_singular_matrix_gets_the_projection_square_root(self, monkeypatch):
+        # the all-ones Theta is singular: Cholesky refuses it, and its
+        # projection is itself up to rounding
         ones = np.ones((3, 3))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(ones)
-        factor = specmodel._psd_cholesky(ones)
-        assert np.max(np.abs(factor @ factor.T - ones)) <= 1e-13
-
-    def test_negative_eigenvalue_fails_after_eight_attempts(self, monkeypatch):
-        calls = []
-        real = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or real(a))
-        with pytest.raises(NumericalError, match="jitter escalation"):
-            specmodel._psd_cholesky(np.diag([1.0, -1.0, 2.0]))
-        assert len(calls) == 8
+        monkeypatch.setattr(
+            specmodel, "theta_point",
+            lambda model, alpha, lam, mu, real_symmetry=False: np.ones_like(lam),
+        )
+        cov = specmodel.limit_covariance(CONST, 0.25, [1.0, 2.0, 3.0])
+        assert np.max(np.abs(cov.matrix - ones)) <= 1e-13
+        assert np.max(np.abs(cov.factor @ cov.factor.T - cov.matrix)) <= 1e-13
 
 
 @pytest.fixture
@@ -432,14 +430,14 @@ class TestEigensolverFree:
 
     def test_repeated_probe_takes_the_eigendecomposition(self, monkeypatch):
         # two equal rows make Theta singular, so Cholesky fails and the
-        # projection and the jitter factor it
+        # eigenvectors give the projection and its square root
         calls = []
         real = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
         cov = specmodel.limit_covariance(AR1, 0.25, [1.0, 2.0, 2.0, 3.0])
         assert len(calls) == 1
         scale = np.max(np.abs(cov.matrix))
-        assert np.max(np.abs(cov.factor @ cov.factor.T - cov.matrix)) <= 1e-12 * scale
+        assert np.max(np.abs(cov.factor @ cov.factor.T - cov.matrix)) <= 1e-13 * scale
 
 
 PAIRS = [
@@ -603,6 +601,12 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
             lambda: specmodel.theta_point(_tabulated_ar1(0.5, 257), 0.25, [1.0, 7.0], [1.0, 7.0]),
             "(lam, mu) must lie in [0, 2*pi], got (7, 7)",
         ),
+        # f^2 overflows to inf, and underflows to 0: each was written as a value
+        *[
+            (lambda c=c: specmodel.limit_covariance(SpectralModel.constant(c), 0.25, [1.0, 2.0]),
+             f"limit covariance {shown} with quadrature error {gap} at (lam, mu)=(1, 1)")
+            for c, shown, gap in ((1e300, "inf", "nan"), (1e-300, "0", "0"))
+        ],
         (
             lambda: specmodel.limit_covariance(AR1, 0.5, [1.0]),
             "alpha must lie in [0, 1/2), got 0.5",
@@ -656,6 +660,7 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
         "custom-no-grid", "custom-zero-density", "unknown-kind", "truth-alpha-half",
         "fejer-n-0", "expected-n-0", "expected-out-grid-1", "beta-below-0", "beta-above-2pi",
         "pair-7-7", "pair-neg-1-3", "pair-nan-1", "pair-custom-grid-7-7",
+        "theta-c-1e300", "theta-c-1e-300",
         "theta-alpha-half", "theta-no-probes", "theta-2d-probes", "theta-probe-0",
         "theta-probe-above-2pi", "theta-1025-probes", "truth-1-point", "truth-0-points",
         "profile-1-point", "profile-0-points",
@@ -664,6 +669,8 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
     ],
 )
 def test_refusals_name_the_bad_input(call, message):
-    with pytest.raises(DomainError) as exc:
+    # a density whose f^2 leaves the float range is a numerical error, the rest domain errors
+    error = NumericalError if message.startswith("limit covariance") else DomainError
+    with pytest.raises(error) as exc:
         call()
     assert message in str(exc.value)

@@ -393,6 +393,17 @@ def test_script_runs(script, reps):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("script", ["tail_envelope.py", "variance_convergence.py",
+                                    "band_coverage.py"])
+def test_script_refusal_is_one_line(script):
+    # each used to end in a traceback; the size is refused before any path is drawn
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--n", "4000000"], capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"{script}: error: n must be at most 1048576, got 4000000\n"
+
+
 @pytest.mark.parametrize(
     "kw, message",
     [
