@@ -20,6 +20,7 @@ def default_grid_points(n: int) -> int:
     return min(4 * max(_check_whole(n, "n", 1), 1024), MAX_GRID_POINTS - 1) + 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction:
     """Evaluate the periodogram exactly at every point of the uniform grid.
 
@@ -43,7 +44,7 @@ def periodogram(path: SamplePath, num_points: int | None = None) -> GridFunction
     power = transform.real**2
     power += transform.imag**2
     power /= TWO_PI * n
-    return even_grid_function(power, num_points)
+    return even_grid_function(power, num_points, f"periodogram of n = {n}")
 
 
 def empirical_spectral_function(j: GridFunction) -> GridFunction:

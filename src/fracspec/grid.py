@@ -1,9 +1,8 @@
 """Uniform-grid function carrier on [0, 2*pi] plus CSV round-trip, and the
-one CSV writer every output goes through."""
+one CSV writer every output goes through and the one reader of its tables."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, _check_whole
+from .errors import DomainError, NumericalError, _check_whole
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,7 +34,7 @@ def csv_table(header: str, rows: Iterable[Sequence], comments: Sequence[str] = (
     header line, then one line per row; floats (numpy's included) print with
     17 significant digits, everything else with str. A comment may hold line
     breaks (a config value written over several lines); its lines are split as
-    str.splitlines splits them, as the CSV readers do."""
+    str.splitlines splits them, as _read_table does."""
     lines = [f"# {part}" for line in comments for part in (line.splitlines() or [""])]
     lines.append(header)
     lines += [
@@ -44,11 +43,38 @@ def csv_table(header: str, rows: Iterable[Sequence], comments: Sequence[str] = (
     return "\n".join(lines) + "\n"
 
 
-def even_grid_function(half: np.ndarray, num_points: int) -> "GridFunction":
-    """The periodic grid function even on the circle of m = num_points - 1
-    points, v[m - k] = v[k], from its first m // 2 + 1 values (what one real
-    FFT gives). The upper half copies the lower, so v(2 pi - lam) = v(lam)
-    holds exactly."""
+def _read_table(text: str, header: str) -> tuple[dict[str, str], list[str], np.ndarray]:
+    """The one CSV reader, of csv_table's text: the `# key = value` comments as a dict,
+    the data rows (blank lines and the header skipped) and their numbers, one column
+    per header field. A row that is not exactly that many finite numbers is refused."""
+    meta, rows, numbers = {}, [], []
+    width = header.count(",") + 1
+    try:
+        for line in map(str.strip, text.splitlines()):
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif line and line != header:
+                rows.append(line)
+                if line.count(",") != width - 1:
+                    raise ValueError(line)
+                numbers += map(float, line.split(","))
+    except ValueError:  # the width check, or float() of a field that is no number
+        raise DomainError(f"bad CSV row: {line!r}") from None
+    numbers = np.array(numbers).reshape(-1, width)
+    if (bad := ~np.isfinite(numbers).all(axis=1)).any():
+        raise DomainError(f"bad CSV row: {rows[bad.argmax()]!r}")
+    return meta, rows, numbers
+
+
+def even_grid_function(half: np.ndarray, num_points: int, name: str) -> "GridFunction":
+    """The periodic grid function even on the circle of m = num_points - 1 points,
+    v[m - k] = v[k], from its first m // 2 + 1 values (what one real FFT gives). The
+    upper half copies the lower, so v(2 pi - lam) = v(lam) holds exactly. A half that
+    is not finite (its FFT overflowed) is a NumericalError naming name."""
+    if not np.all(np.isfinite(half)):
+        raise NumericalError(f"{name} overflows on the {num_points}-point grid")
     m = num_points - 1
     values = np.concatenate((half, half[(m - 1) // 2 : 0 : -1], half[:1]))
     return GridFunction(values, periodic=True)
@@ -68,9 +94,7 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid values must be finite")
         if self.periodic and abs(vals[0] - vals[-1]) > PERIODIC_TOL:
-            raise DomainError(
-                f"periodic grid endpoints differ: {vals[0]!r} vs {vals[-1]!r}"
-            )
+            raise DomainError(f"periodic grid endpoints differ: {vals[0]:.17g} vs {vals[-1]:.17g}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -97,18 +121,8 @@ class GridFunction:
     @classmethod
     def from_csv_text(cls, text: str, periodic: bool = False) -> "GridFunction":
         """Parse `lambda,value` rows; row k must be uniform-grid point k, to 1e-9 of a spacing."""
-        rows = [line.strip() for line in text.splitlines()]
-        rows = [row for row in rows if row and not row.startswith(("#", "lambda"))]
-        pairs = []
-        for row in rows:
-            try:
-                lam, val = map(float, row.split(","))
-            except ValueError:  # a non-numeric field, or not exactly two of them
-                lam = val = math.nan
-            if not (math.isfinite(lam) and math.isfinite(val)):
-                raise DomainError(f"bad CSV row: {row!r}")
-            pairs.append((lam, val))
-        lams, vals = np.array(pairs).reshape(-1, 2).T
+        _, rows, numbers = _read_table(text, "lambda,value")
+        lams, vals = numbers.T
         out = cls(vals, periodic=periodic)
         off_grid = ~(np.abs(lams - out.grid) <= 1e-9 * out.spacing)
         if np.any(off_grid):
@@ -119,4 +133,7 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path: str | Path, periodic: bool = False) -> "GridFunction":
-        return cls.from_csv_text(Path(path).read_text(encoding="utf-8"), periodic=periodic)
+        try:
+            return cls.from_csv_text(Path(path).read_text(encoding="utf-8"), periodic=periodic)
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from None

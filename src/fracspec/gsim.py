@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, SamplingError, _check_whole
-from .grid import csv_table
+from .grid import _read_table, csv_table
 from .specmodel import MAX_N, LimitCovariance, SpectralModel, autocovariance_batch
 
 #: embedding eigenvalues above this are clipped to 0, below it the embedding fails
@@ -69,43 +69,23 @@ class SamplePath:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SamplePath":
-        """Read a path CSV; the `# seed` and `# model_id` lines are required."""
-        meta = {"centered": "False", "added_mean": "0"}
-        vals = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-            elif line and line != "eta":
-                try:
-                    value = float(line)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise DomainError(f"{path}: bad sample value {line!r}")
-                vals.append(value)
-        for key in ("seed", "model_id"):
-            if key not in meta:
-                raise DomainError(f"{path}: missing '# {key} = ...' line")
-        if not vals:
-            raise DomainError(f"{path}: the path is empty (no sample values)")
+        """Read a path CSV, which needs `# seed` and `# model_id` lines; a refusal names it."""
         try:
-            seed, added_mean = int(meta["seed"]), float(meta["added_mean"])
+            meta, _, values = _read_table(Path(path).read_text(encoding="utf-8"), "eta")
+            for key in ("seed", "model_id"):
+                if key not in meta:
+                    raise DomainError(f"missing '# {key} = ...' line")
+            if not values.size:
+                raise DomainError("the path is empty (no sample values)")
+            seed, added_mean = int(meta["seed"]), float(meta.get("added_mean", "0"))
             if not math.isfinite(added_mean):
                 raise ValueError(f"added_mean must be finite, got {meta['added_mean']!r}")
+        except DomainError as exc:  # before ValueError, its base
+            raise DomainError(f"{path}: {exc}") from None
         except ValueError as exc:
             raise DomainError(f"{path}: bad header value: {exc}") from None
-        return cls(
-            n=len(vals),
-            values=np.array(vals),
-            seed=seed,
-            model_id=meta["model_id"],
-            centered=meta["centered"] == "True",
-            added_mean=added_mean,
-        )
+        return cls(n=values.size, values=values[:, 0], seed=seed, model_id=meta["model_id"],
+                   centered=meta.get("centered") == "True", added_mean=added_mean)
 
 
 @lru_cache(maxsize=32)

@@ -180,6 +180,7 @@ def fejer_kernel(n: int, lam) -> np.ndarray | float:
     return float(out) if lam_arr.ndim == 0 else out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFunction:
     """Fejer-smoothed density: the exact expectation of the periodogram.
 
@@ -193,7 +194,8 @@ def expected_periodogram(model: SpectralModel, n: int, out_grid: int) -> GridFun
     coeff = r * (1.0 - np.arange(n) / n)
     m_circle = out_grid - 1
     folded = np.bincount(np.arange(n) % m_circle, weights=coeff, minlength=m_circle)
-    return even_grid_function((2.0 * np.fft.rfft(folded).real - coeff[0]) / TWO_PI, out_grid)
+    mean = (2.0 * np.fft.rfft(folded).real - coeff[0]) / TWO_PI
+    return even_grid_function(mean, out_grid, f"Fejer mean of n = {n}")
 
 
 def _check_n_list(n_list: Iterable[int]) -> tuple[int, ...]:

@@ -784,6 +784,25 @@ class TestEstimateVerb:
         np.testing.assert_allclose(estimates[0], estimates[1], rtol=0, atol=1e-9)
 
 
+    def test_overflowing_periodogram_is_a_numerical_error(self, tmp_path, capsys, recwarn):
+        # it printed three overflow RuntimeWarnings, then exited 1 naming no input
+        sim_ini = _write(
+            tmp_path / "sim.ini", "[model]\nkind = constant\nc = 1e306\n\n[simulate]\nn = 4096\n"
+        )
+        assert _run("simulate", "--config", str(sim_ini), "--out", str(tmp_path / "paths")) == 0
+        est_ini = _write(
+            tmp_path / "est.ini",
+            f"[estimate]\npath_csv = {tmp_path / 'paths' / 'path_000.csv'}\nalpha = 0.25\n",
+        )
+        out = tmp_path / "est_out"
+        assert _run("estimate", "--config", str(est_ini), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == ("fracspec: numerical error: periodogram of n = 4096 overflows "
+                       "on the 16385-point grid\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert list(out.iterdir()) == []
+
+
 class TestMalformedInput:
     """A bad CSV given as input is a domain error (exit 1), not a traceback."""
 
@@ -804,7 +823,12 @@ class TestMalformedInput:
         # these used to exit 2, a numerical error, after the path was read
         text = f"# seed = 0\n# model_id = ar1(rho=0.5)\neta\n0.5\n{value}\n1.5\n"
         assert self._estimate(tmp_path, text) == 1
-        assert f"bad sample value '{value}'" in capsys.readouterr().err
+        assert f"path.csv: bad CSV row: '{value}'" in capsys.readouterr().err
+
+    def test_path_csv_with_two_fields_in_a_row(self, tmp_path, capsys):
+        text = "# seed = 0\n# model_id = ar1(rho=0.5)\neta\n0.5,1\n1.5\n"
+        assert self._estimate(tmp_path, text) == 1
+        assert "path.csv: bad CSV row: '0.5,1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_path_csv_with_non_finite_added_mean(self, tmp_path, capsys, recwarn, value):
@@ -851,6 +875,28 @@ class TestMalformedInput:
         )
         assert _run("truth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         assert f"bad CSV row: '{row}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1\n3.141592653589793\n6.283185307179586,1\n",
+             "bad CSV row: '3.141592653589793'"),
+            ("0,1\n3,2\n6.283185307179586,1\n", "bad CSV row: '3,2' (lambda must be "),
+            ("0,1\n3.141592653589793,2\n6.283185307179586,3\n",
+             "periodic grid endpoints differ: 1 vs 3"),
+        ],
+        ids=["one-field", "off-grid", "endpoints-differ"],
+    )
+    def test_custom_grid_csv_refusal_names_the_file(self, tmp_path, capsys, rows, message):
+        # the uniform-grid and endpoint refusals used to name no file
+        grid_csv = _write(tmp_path / "grid.csv", f"lambda,value\n{rows}")
+        cfg = _write(
+            tmp_path / "t.ini",
+            f"[model]\nkind = custom_grid\ngrid_csv_path = {grid_csv}\n\n"
+            "[truth]\nalpha = 0.25\nnum_points = 65\n",
+        )
+        assert _run("truth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert f"fracspec: error: {grid_csv}: {message}" in capsys.readouterr().err
 
 
 class TestTruthVerb:
@@ -1002,6 +1048,20 @@ class TestFejerVerb:
         assert data[0][1] > data[1][1]  # sup error shrinks with n
         for (_, sup_err, bound) in data:
             assert sup_err <= bound
+
+
+    def test_overflowing_fejer_mean_is_a_numerical_error(self, tmp_path, capsys, recwarn):
+        # it warned "invalid value encountered in subtract", then exited 1 naming no input
+        cfg = _write(
+            tmp_path / "f.ini", "[model]\nkind = constant\nc = 1e308\n\n[fejer]\nn_list = 64\n"
+        )
+        out = tmp_path / "o"
+        assert _run("fejer", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == ("fracspec: numerical error: Fejer mean of n = 64 overflows "
+                       "on the 405-point grid\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert list(out.iterdir()) == []
 
 
 def test_console_entry_point():

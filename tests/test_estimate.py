@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspec import DomainError, TWO_PI
+from fracspec import DomainError, NumericalError, TWO_PI
 from fracspec import estimate, gsim, specmodel
 from fracspec.specmodel import SpectralModel
 
@@ -149,14 +149,24 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
             f"num_points must be at most {estimate.MAX_GRID_POINTS}, "
             f"got {estimate.MAX_GRID_POINTS + 1}",
         ),
+        # |sum|^2 overflows; it ended as "grid values must be finite", naming no input
+        (
+            lambda path, j: estimate.periodogram(
+                gsim.SamplePath(n=4, values=np.full(4, 1e300), seed=0, model_id="big"), 257
+            ),
+            "periodogram of n = 4 overflows on the 257-point grid",
+        ),
     ],
     ids=["periodogram-1-point",
          *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE],
-         "periodogram-257.5", "periodogram-above-max"],
+         "periodogram-257.5", "periodogram-above-max", "periodogram-overflow"],
 )
-def test_refusals_name_the_bad_input(call, message):
+def test_refusals_name_the_bad_input(call, message, recwarn):
     path = gsim.sample_path(AR1, 64, seed=0)
     j = estimate.periodogram(path, 257)
-    with pytest.raises(DomainError) as exc:
+    # an overflow is a numerical error, the rest domain errors
+    error = NumericalError if "overflows" in message else DomainError
+    with pytest.raises(error) as exc:
         call(path, j)
     assert message in str(exc.value)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

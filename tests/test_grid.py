@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracspec import DomainError, GridFunction, TWO_PI
@@ -19,7 +19,7 @@ def test_values_are_read_only_copies():
 @pytest.mark.parametrize("num_points, values", [(5, [3, 2, 1, 2, 3]), (6, [3, 2, 1, 1, 2, 3])])
 def test_even_grid_function_mirrors_into_its_own_values(num_points, values):
     half = np.array([3.0, 2.0, 1.0])
-    g = even_grid_function(half, num_points)
+    g = even_grid_function(half, num_points, "half")
     assert g.values.tolist() == values and g.periodic
     assert not np.shares_memory(g.values, half)
     with pytest.raises(ValueError):
@@ -41,19 +41,23 @@ def test_rejects_bad_input():
         GridFunction(np.array([0.0, 1.0]), periodic=True)
 
 
-@given(
-    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=64),
-    st.booleans(),
-)
-@settings(max_examples=50, deadline=None)
-def test_csv_round_trip(values, periodic):
+#: any finite float64; EDGES are the signed zero, the subnormal and the largest ones
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+#: comments with line breaks, which csv_table writes one `# ` line each
+COMMENTS = st.lists(st.text(alphabet=st.sampled_from("ab =#,\n\r\x0b\u2028")), max_size=4)
+
+
+@given(st.lists(FINITE, min_size=2, max_size=64), st.booleans(), COMMENTS)
+@example(EDGES, False, ["one\ntwo", "seed = 3\r\nlambda,value", ""])
+@example(EDGES, True, [])
+@settings(max_examples=100, deadline=None)
+def test_csv_round_trip(values, periodic, comments):
     if periodic:
         values = values + [values[0]]
     g = GridFunction(np.array(values), periodic=periodic)
-    back = GridFunction.from_csv_text(
-        g.to_csv_text(comments=["one", "two"]), periodic=periodic
-    )
-    np.testing.assert_array_equal(back.values, g.values)
+    back = GridFunction.from_csv_text(g.to_csv_text(comments=comments), periodic=periodic)
+    assert back.values.tobytes() == g.values.tobytes()
 
 
 def test_csv_skips_comments_and_header(tmp_path):

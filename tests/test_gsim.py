@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracspec import DomainError, TWO_PI
 from fracspec import gsim, specmodel
@@ -14,6 +16,12 @@ _LAM = np.linspace(0.0, TWO_PI, 257)
 CUSTOM = SpectralModel.custom(
     GridFunction((2.0 + np.cos(_LAM)) / (4.0 * math.pi**2), periodic=True)
 )
+
+#: any finite float64; EDGES are the signed zero, the subnormal and the largest ones
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+#: comments with line breaks, which csv_table writes one `# ` line each
+COMMENTS = st.lists(st.text(alphabet=st.sampled_from("ab =#,\n\r\x0b\u2028")), max_size=4)
 
 
 class TestRng:
@@ -84,14 +92,19 @@ class TestSamplePath:
         path = gsim.sample_path(model, n, seed, mean=mean, stream=stream).values
         assert np.max(np.abs(path - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
-    def test_csv_round_trip(self, tmp_path):
-        path = gsim.sample_path(AR1, 32, seed=9, mean=1.0)
-        f = tmp_path / "p.csv"
-        f.write_text(path.to_csv_text(comments=["hello"]))
+    @given(st.lists(FINITE, min_size=1, max_size=64), FINITE, st.integers(0, 2**63), COMMENTS)
+    @example(EDGES, -0.0, 0, ["one\ntwo", "seed = 3\r\neta", ""])
+    @example(EDGES, 5e-324, 1, ["model_id = x\n"])
+    @example([1.0], 1.7976931348623157e308, 2, [])
+    @settings(max_examples=100, deadline=None)
+    def test_csv_round_trip(self, tmp_path_factory, values, mean, seed, comments):
+        path = gsim.SamplePath(len(values), np.array(values), seed, AR1.model_id, added_mean=mean)
+        f = tmp_path_factory.mktemp("path") / "p.csv"
+        f.write_text(path.to_csv_text(comments=comments), encoding="utf-8")
         back = gsim.SamplePath.from_csv(f)
-        np.testing.assert_array_equal(back.values, path.values)
-        assert back.seed == path.seed
-        assert back.model_id == path.model_id
+        assert back.values.tobytes() == path.values.tobytes()
+        assert np.float64(back.added_mean).tobytes() == np.float64(mean).tobytes()
+        assert (back.seed, back.model_id, back.centered) == (seed, path.model_id, False)
 
 
 def _spike(width: float) -> SpectralModel:

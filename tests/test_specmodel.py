@@ -655,6 +655,12 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
             for call in (lambda v: specmodel.frac_truth_profile(AR1, 0.25, v),
                          lambda v: specmodel.spectral_profile(AR1, v))
         ],
+        # r(0) = 2 pi c overflows and the series reads inf - inf; it ended as
+        # "grid values must be finite", naming no input
+        (
+            lambda: specmodel.expected_periodogram(SpectralModel.constant(1e308), 64, 405),
+            "Fejer mean of n = 64 overflows on the 405-point grid",
+        ),
     ],
     ids=[
         "custom-no-grid", "custom-zero-density", "unknown-kind", "truth-alpha-half",
@@ -666,11 +672,13 @@ _NOT_WHOLE = (64.7, math.nan, math.inf)
         "profile-1-point", "profile-0-points",
         *[f"{case}-{bad}" for case, _, _ in _WHOLE_ARGS for bad in _NOT_WHOLE],
         "expected-out-grid-257.5", "truth-above-max", "profile-above-max",
+        "expected-overflow",
     ],
 )
 def test_refusals_name_the_bad_input(call, message):
-    # a density whose f^2 leaves the float range is a numerical error, the rest domain errors
-    error = NumericalError if message.startswith("limit covariance") else DomainError
+    # a density whose f^2 or Fejer mean leaves the float range is a numerical error,
+    # the rest domain errors
+    error = NumericalError if message.startswith(("limit covariance", "Fejer")) else DomainError
     with pytest.raises(error) as exc:
         call()
     assert message in str(exc.value)
